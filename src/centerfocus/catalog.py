@@ -87,9 +87,11 @@ def _uniform_isochronous(m: int, big_g: BiPoly):
     of the weak-center family, which carries the Darboux candidate.
     """
     sol = solve_homological(HomogeneousPoly(m - 1, big_g * (m + 1)))
-    assert sol.k_const == 0
+    if sol.k_const != 0:
+        raise AssertionError(f"(m+1) G has circle average {sol.k_const}, not 0")
     field, cand = weak_center_family(m, Fraction(2, m + 1), sol.f.inner)
-    assert field.p == X * big_g - Y and field.q == Y * big_g + X
+    if field.p != X * big_g - Y or field.q != Y * big_g + X:
+        raise AssertionError("weak-center family does not rebuild (-y + x G, x + y G)")
     return field, cand
 
 
@@ -300,8 +302,7 @@ def _quartic_ttt(v: Params) -> CatalogEntry:
         p=-Y,
         q=X + BiPoly({(0, 4): a, (3, 1): -4 * a}),
     )
-    res = compute_lyapunov(f, 8)
-    tags = {"CenterCandidate"} if res.verdict == "CenterCandidate" else _focus_tags(f, 8)
+    tags = _focus_tags(f, 8)
     notes = ()
     if a == 1:
         notes = (

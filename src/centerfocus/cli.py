@@ -282,64 +282,111 @@ def _tolerances(cfg: IntegratorConfig) -> dict:
     return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "section_abs": 1e-13}
 
 
+def _load_system(path: str) -> tuple[str, str, PlanarField]:
+    """(input digest, name, field) of a system file."""
+    text = _read(path)
+    name, field, _ = parse_system(text)
+    return _digest(text), name, field
+
+
+def _show(args, doc, lines: list[str]) -> None:
+    """The one place a command's output is printed: `doc` or the text lines."""
+    if args.json:
+        _emit(doc)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _batch(args, worker) -> list[dict]:
+    """Run `worker` over every --input file and print the reports in order.
+
+    A worker returns (report, text lines); a single file prints its bare
+    report, several print a list, and text blocks are blank-line separated.
+    """
+    _check_order(args.order, args.command)
+    outs = _run_batch(args.input, args.jobs, worker)
+    reports = [rep for rep, _ in outs]
+    lines: list[str] = []
+    for idx, (_, rep_lines) in enumerate(outs):
+        if idx:
+            lines.append("")
+        lines.extend(rep_lines)
+    _show(args, reports[0] if len(reports) == 1 else reports, lines)
+    return reports
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
-def _analyze_one(path: str, order: int) -> dict:
-    text = _read(path)
-    name, field, _ = parse_system(text)
+def _analyze_one(path: str, order: int) -> tuple[dict, list[str]]:
+    digest, name, field = _load_system(path)
     res = compute_lyapunov(field, order)
+    degs = [h.degree for h in res.h_list]
     results = {
         "name": name,
         "order": order,
-        "solved_h_degrees": [h.degree for h in res.h_list],
+        "solved_h_degrees": degs,
         "v": [_exact_json(v) for v in res.v_list],
         "verdict": res.describe(),
     }
-    return _report(f"analyze --order {order} --input {path}", _digest(text), results)
-
-
-def _print_analyze(rep: dict) -> None:
-    res = rep["results"]
-    print(f"name:    {res['name']}")
-    print(f"order:   {res['order']}")
-    degs = res["solved_h_degrees"]
+    lines = [f"name:    {name}", f"order:   {order}"]
     if degs:
-        print(f"solved:  H_{degs[0]} .. H_{degs[-1]}")
-    for k, v in enumerate(res["v"], start=1):
-        print(f"V_{k} = {v['exact']} (~ {v['approx']})")
-    print(f"verdict: {res['verdict']}")
+        lines.append(f"solved:  H_{degs[0]} .. H_{degs[-1]}")
+    lines += [f"V_{k} = {v} (~ {float(v)})" for k, v in enumerate(res.v_list, start=1)]
+    lines.append(f"verdict: {res.describe()}")
+    return _report(f"analyze --order {order} --input {path}", digest, results), lines
 
 
 def _cmd_analyze(args) -> int:
-    _check_order(args.order, "analyze")
-    worker = functools.partial(_analyze_one, order=args.order)
-    reports = _run_batch(args.input, args.jobs, worker)
-    if args.json:
-        _emit(reports[0] if len(reports) == 1 else reports)
-    else:
-        for idx, rep in enumerate(reports):
-            if idx:
-                print()
-            _print_analyze(rep)
+    _batch(args, functools.partial(_analyze_one, order=args.order))
     return 0
 
 
 # -- classify ---------------------------------------------------------------------
 
 
-def _classify_one(path: str, order: int, c_grid: tuple[float, ...]) -> dict:
-    text = _read(path)
-    name, field, _ = parse_system(text)
+def _classify_one(
+    path: str, order: int, c_grid: tuple[float, ...]
+) -> tuple[dict, list[str]]:
+    digest, name, field = _load_system(path)
     res = compute_lyapunov(field, order)
+    lines = [
+        f"name:      {name}",
+        f"symbolic:  {res.describe()}  V = [{', '.join(str(v) for v in res.v_list)}]",
+    ]
 
     sym = detect_symmetries(field)
+    symmetries = {
+        "rev_x_axis": sym.rev_x_axis,
+        "rev_y_axis": sym.rev_y_axis,
+        "cauchy_riemann": sym.cauchy_riemann,
+        "hamiltonian": sym.hamiltonian,
+    }
+    flags = [k for k, v in symmetries.items() if v]
+    lines.append(f"symmetry:  {', '.join(flags) if flags else 'none detected'}")
+
     weak = weak_center_check(field)
+    if weak is None:
+        weak_out = None
+        lines.append("weak:      no proportionality")
+    else:
+        lam = weak.lambda_darboux
+        weak_out = {
+            "mu": _exact_json(weak.mu),
+            "integral_ok": weak.integral_ok,
+            "lambda": None if lam is None else _exact_json(lam),
+        }
+        lines.append(f"weak:      mu = {weak.mu}, integral_ok = {weak.integral_ok}, "
+                     f"lambda = {'-' if lam is None else lam}")
+
     try:
         hg = hg_decompose(field)
         hg_out = {"h": _terms_json(hg.h), "g": _terms_json(hg.g)}
+        lines.append("hg:        decomposed")
     except ObstructionNonzeroAverage as exc:
         hg_out = {"obstruction": {"degree": exc.degree, "value": str(exc.value)}}
+        lines.append(f"hg:        obstructed at degree {exc.degree} (average {exc.value})")
 
     quadratic = None
     if field.degree == 2:
@@ -360,19 +407,24 @@ def _classify_one(path: str, order: int, c_grid: tuple[float, ...]) -> dict:
             )
         )
         quadratic = {"bautin_cases": bautin, "schlomiuk_cases": schl}
+        lines.append(f"quadratic: bautin {bautin if bautin is not None else 'n/a'}, "
+                     f"schlomiuk {schl}")
 
     cfg = IntegratorConfig()
     num = numeric_classify(field, c_grid, cfg)
     if isinstance(num, CenterLike):
         num_out = {"kind": "CenterLike", "tol": num.tol}
+        lines.append(f"numeric:   CenterLike (tol {num.tol})")
     else:
         num_out = {"kind": "FocusLike", "sign": num.sign}
+        lines.append(f"numeric:   FocusLike (sign {num.sign:+d})")
 
     if res.verdict == "CenterCandidate":
         disagreement = False
     else:
         want = 1 if res.verdict == "UnstableFocus" else -1
         disagreement = isinstance(num, CenterLike) or num.sign != want
+    lines.append(f"agreement: {'DISAGREEMENT' if disagreement else 'consistent'}")
 
     results = {
         "name": name,
@@ -381,69 +433,20 @@ def _classify_one(path: str, order: int, c_grid: tuple[float, ...]) -> dict:
             "v": [_exact_json(v) for v in res.v_list],
             "verdict": res.describe(),
         },
-        "symmetries": {
-            "rev_x_axis": sym.rev_x_axis,
-            "rev_y_axis": sym.rev_y_axis,
-            "cauchy_riemann": sym.cauchy_riemann,
-            "hamiltonian": sym.hamiltonian,
-        },
-        "weak_center": None if weak is None else {
-            "mu": _exact_json(weak.mu),
-            "integral_ok": weak.integral_ok,
-            "lambda": None if weak.lambda_darboux is None else _exact_json(weak.lambda_darboux),
-        },
+        "symmetries": symmetries,
+        "weak_center": weak_out,
         "hg": hg_out,
         "quadratic": quadratic,
         "numeric": {"grid": list(c_grid), "tolerances": _tolerances(cfg), **num_out},
         "disagreement": disagreement,
     }
-    return _report(f"classify --order {order} --input {path}", _digest(text), results)
-
-
-def _print_classify(rep: dict) -> None:
-    res = rep["results"]
-    print(f"name:      {res['name']}")
-    print(f"symbolic:  {res['symbolic']['verdict']}  "
-          f"V = [{', '.join(v['exact'] for v in res['symbolic']['v'])}]")
-    sym = res["symmetries"]
-    flags = [k for k, v in sym.items() if v]
-    print(f"symmetry:  {', '.join(flags) if flags else 'none detected'}")
-    weak = res["weak_center"]
-    if weak is None:
-        print("weak:      no proportionality")
-    else:
-        lam = weak["lambda"]["exact"] if weak["lambda"] else "-"
-        print(f"weak:      mu = {weak['mu']['exact']}, integral_ok = "
-              f"{weak['integral_ok']}, lambda = {lam}")
-    if "obstruction" in res["hg"]:
-        ob = res["hg"]["obstruction"]
-        print(f"hg:        obstructed at degree {ob['degree']} (average {ob['value']})")
-    else:
-        print("hg:        decomposed")
-    if res["quadratic"] is not None:
-        qd = res["quadratic"]
-        b = qd["bautin_cases"]
-        print(f"quadratic: bautin {b if b is not None else 'n/a'}, "
-              f"schlomiuk {qd['schlomiuk_cases']}")
-    num = res["numeric"]
-    if num["kind"] == "CenterLike":
-        print(f"numeric:   CenterLike (tol {num['tol']})")
-    else:
-        print(f"numeric:   FocusLike (sign {num['sign']:+d})")
-    print(f"agreement: {'DISAGREEMENT' if res['disagreement'] else 'consistent'}")
+    return _report(f"classify --order {order} --input {path}", digest, results), lines
 
 
 def _cmd_classify(args) -> int:
-    _check_order(args.order, "classify")
-    worker = functools.partial(_classify_one, order=args.order, c_grid=args.c)
-    reports = _run_batch(args.input, args.jobs, worker)
-    if args.json:
-        _emit(reports[0] if len(reports) == 1 else reports)
-    else:
-        for idx, rep in enumerate(reports):
-            if idx:
-                print()
-            _print_classify(rep)
+    reports = _batch(
+        args, functools.partial(_classify_one, order=args.order, c_grid=args.c)
+    )
     if any(rep["results"]["disagreement"] for rep in reports):
         print("centerfocus classify: numeric oracle contradicts the symbolic verdict",
               file=sys.stderr)
@@ -461,32 +464,29 @@ def _cmd_inverse(args) -> int:
     field = build_field(spec)
     residuals = complementary_residuals(spec, args.check_order)
     mismatch = hamiltonian_mismatch(spec)
+    orders = range(spec.m, args.check_order + 1)
     results = {
         "system": system_json(name, field),
         "residuals": [
             {"n": n, "zero": r.is_zero(), "terms": _terms_json(r)}
-            for n, r in zip(range(spec.m, args.check_order + 1), residuals)
+            for n, r in zip(orders, residuals)
         ],
         "hamiltonian_mismatch": {
             "zero": mismatch.is_zero(),
             "terms": _terms_json(mismatch),
         },
     }
+    lines = [f"name:  {name}", f"field: x' = {field.p}", f"       y' = {field.q}"]
+    lines += [
+        f"residual n={n}: {'0' if r.is_zero() else 'nonzero'}"
+        for n, r in zip(orders, residuals)
+    ]
+    lines.append(f"hamiltonian mismatch: {'0' if mismatch.is_zero() else repr(mismatch)}")
     rep = _report(
         f"inverse --check-order {args.check_order} --spec {args.spec}",
         _digest(text), results,
     )
-    if args.json:
-        _emit(rep)
-    else:
-        print(f"name:  {name}")
-        print(f"field: x' = {field.p}")
-        print(f"       y' = {field.q}")
-        for row in results["residuals"]:
-            state = "0" if row["zero"] else "nonzero"
-            print(f"residual n={row['n']}: {state}")
-        print(f"hamiltonian mismatch: "
-              f"{'0' if mismatch.is_zero() else repr(mismatch)}")
+    _show(args, rep, lines)
     return 0
 
 
@@ -494,18 +494,20 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_darboux(args) -> int:
-    text = _read(args.input)
-    name, field, _ = parse_system(text)
-    curve_text = _read(args.curve)
-    curve = parse_poly_document(curve_text)
+    digest, name, field = _load_system(args.input)
+    curve = parse_poly_document(_read(args.curve))
     cert = find_cofactor(field, curve)
     results: dict = {
         "name": name,
         "curve": _terms_json(curve),
         "invariant": cert is not None,
     }
-    if cert is not None:
+    lines = [f"name:  {name}"]
+    if cert is None:
+        lines.append("curve: not invariant")
+    else:
         results["cofactor"] = _terms_json(cert.cofactor)
+        lines.append(f"curve: invariant, cofactor = {cert.cofactor}")
     if args.lam is not None:
         lam = _parse_coeff(args.lam, "--lambda")
         if lam == 0:
@@ -521,75 +523,47 @@ def _cmd_darboux(args) -> int:
                 )
             g = (curve - 1) * (Fraction(1) / (1 - lam))
             form = "Rational" if lam.numerator == 1 else "Power"
-        cand = DarbouxCandidate(g=g, lam=lam, form=form)
+        verified = verify_darboux(field, DarbouxCandidate(g=g, lam=lam, form=form))
         results["lambda"] = str(lam)
-        results["darboux_verified"] = verify_darboux(field, cand)
-    rep = _report(
-        f"darboux --input {args.input} --curve {args.curve}", _digest(text), results
-    )
-    if args.json:
-        _emit(rep)
-    else:
-        print(f"name:  {name}")
-        if cert is None:
-            print("curve: not invariant")
-        else:
-            print(f"curve: invariant, cofactor = {cert.cofactor}")
-        if "darboux_verified" in results:
-            print(f"candidate (lambda {results['lambda']}): "
-                  f"{'verified' if results['darboux_verified'] else 'FAILED'}")
+        results["darboux_verified"] = verified
+        lines.append(f"candidate (lambda {lam}): {'verified' if verified else 'FAILED'}")
+    rep = _report(f"darboux --input {args.input} --curve {args.curve}", digest, results)
+    _show(args, rep, lines)
     return 0
 
 
 # -- numeric commands --------------------------------------------------------------
 
 
-def _cmd_returnmap(args) -> int:
-    text = _read(args.input)
-    name, field, _ = parse_system(text)
+def _returnmap_row(field: PlanarField, c: float, cfg: IntegratorConfig):
+    s = return_map(field, c, cfg)
+    row = {"c": s.c, "p_of_c": s.p_of_c, "delta": s.delta, "theta_total": s.theta_total}
+    return row, f"c = {s.c}: P(c) = {s.p_of_c!r}, delta = {s.delta!r}"
+
+
+def _period_row(field: PlanarField, c: float, cfg: IntegratorConfig):
+    s = period(field, c, cfg)
+    return {"c": s.c, "period": s.period}, f"c = {s.c}: T(c) = {s.period!r}"
+
+
+def _cmd_samples(args) -> int:
+    """returnmap and period: one sample per section abscissa."""
+    digest, name, field = _load_system(args.input)
     cfg = IntegratorConfig()
-    samples = [return_map(field, c, cfg) for c in args.c]
+    rows = [args.row(field, c, cfg) for c in args.c]
     results = {
         "name": name,
         "tolerances": _tolerances(cfg),
-        "samples": [
-            {"c": s.c, "p_of_c": s.p_of_c, "delta": s.delta, "theta_total": s.theta_total}
-            for s in samples
-        ],
+        "samples": [row for row, _ in rows],
     }
-    rep = _report(f"returnmap --input {args.input}", _digest(text), results)
-    if args.json:
-        _emit(rep)
-    else:
-        print(f"name: {name}  (rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})")
-        for s in samples:
-            print(f"c = {s.c}: P(c) = {s.p_of_c!r}, delta = {s.delta!r}")
-    return 0
-
-
-def _cmd_period(args) -> int:
-    text = _read(args.input)
-    name, field, _ = parse_system(text)
-    cfg = IntegratorConfig()
-    samples = [period(field, c, cfg) for c in args.c]
-    results = {
-        "name": name,
-        "tolerances": _tolerances(cfg),
-        "samples": [{"c": s.c, "period": s.period} for s in samples],
-    }
-    rep = _report(f"period --input {args.input}", _digest(text), results)
-    if args.json:
-        _emit(rep)
-    else:
-        print(f"name: {name}  (rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})")
-        for s in samples:
-            print(f"c = {s.c}: T(c) = {s.period!r}")
+    lines = [f"name: {name}  (rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})"]
+    lines += [line for _, line in rows]
+    _show(args, _report(f"{args.command} --input {args.input}", digest, results), lines)
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    text = _read(args.input)
-    name, field, _ = parse_system(text)
+    digest, name, field = _load_system(args.input)
     cfg = IntegratorConfig()
     traj = integrate(field, args.x0, args.y0, args.t, cfg)
     write_csv(traj, args.out)
@@ -601,14 +575,12 @@ def _cmd_orbit(args) -> int:
         "tolerances": _tolerances(cfg),
     }
     rep = _report(
-        f"orbit --input {args.input} --t {args.t} --out {args.out}",
-        _digest(text), results,
+        f"orbit --input {args.input} --t {args.t} --out {args.out}", digest, results
     )
-    if args.json:
-        _emit(rep)
-    else:
-        print(f"wrote {len(traj.t)} samples to {args.out} "
-              f"(rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})")
+    _show(args, rep, [
+        f"wrote {len(traj.t)} samples to {args.out} "
+        f"(rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})"
+    ])
     return 0
 
 
@@ -650,33 +622,34 @@ def _entry_metadata(entry) -> dict:
     return meta
 
 
-def _cmd_catalog(args) -> int:
-    if args.action == "list":
-        sigs = list_families()
-        if args.json:
-            _emit([
-                {
-                    "name": sig.name,
-                    "params": [
-                        {"name": k, "default": None if d is None else str(d)}
-                        for k, d in sig.params
-                    ],
-                }
-                for sig in sigs
-            ])
-        else:
-            for sig in sigs:
-                bits = ", ".join(
-                    f"{k}={d}" if d is not None else f"{k}=<required>"
-                    for k, d in sig.params
-                )
-                print(f"{sig.name}({bits})")
-        return 0
+def _cmd_catalog_list(args) -> int:
+    sigs = list_families()
+    doc = [
+        {
+            "name": sig.name,
+            "params": [
+                {"name": k, "default": None if d is None else str(d)}
+                for k, d in sig.params
+            ],
+        }
+        for sig in sigs
+    ]
+    lines = [
+        f"{sig.name}("
+        + ", ".join(f"{k}={d}" if d is not None else f"{k}=<required>" for k, d in sig.params)
+        + ")"
+        for sig in sigs
+    ]
+    _show(args, doc, lines)
+    return 0
+
+
+def _cmd_catalog_get(args) -> int:
     params = {}
     for key, value in args.param or []:
         params[key] = _parse_coeff(value, f"--param {key}")
     entry = catalog_get(args.name, **params)
-    _emit(system_json(entry.name, entry.field, metadata=_entry_metadata(entry)))
+    _show(args, system_json(entry.name, entry.field, metadata=_entry_metadata(entry)), [])
     return 0
 
 
@@ -728,13 +701,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--input", required=True, metavar="FILE")
     pr.add_argument("--c", type=_c_list, required=True)
     pr.add_argument("--json", action="store_true")
-    pr.set_defaults(handler=_cmd_returnmap)
+    pr.set_defaults(handler=_cmd_samples, row=_returnmap_row)
 
     pp = sub.add_parser("period", help="orbit periods through section points")
     pp.add_argument("--input", required=True, metavar="FILE")
     pp.add_argument("--c", type=_c_list, required=True)
     pp.add_argument("--json", action="store_true")
-    pp.set_defaults(handler=_cmd_period)
+    pp.set_defaults(handler=_cmd_samples, row=_period_row)
 
     po = sub.add_parser("orbit", help="integrate one trajectory to CSV")
     po.add_argument("--input", required=True, metavar="FILE")
@@ -749,11 +722,12 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = pg.add_subparsers(dest="action", required=True, parser_class=_Parser)
     gl = gsub.add_parser("list", help="family signatures")
     gl.add_argument("--json", action="store_true")
-    gl.set_defaults(handler=_cmd_catalog)
+    gl.set_defaults(handler=_cmd_catalog_list)
     gg = gsub.add_parser("get", help="emit one family instance as a system document")
     gg.add_argument("name")
     gg.add_argument("--param", action="append", type=_param_pair, metavar="k=v")
-    gg.set_defaults(handler=_cmd_catalog)
+    # get has no --json: its output is always a system document
+    gg.set_defaults(handler=_cmd_catalog_get, json=True)
 
     return parser
 

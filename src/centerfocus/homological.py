@@ -65,7 +65,10 @@ def solve_homological(
         if d == 0:
             # resonant: (z zbar)^(n/2) = (x^2+y^2)^(n/2); for real g this
             # coefficient is real and equals the circle average of g
-            assert im == 0, "resonant coefficient of a real polynomial must be real"
+            if im != 0:
+                raise AssertionError(
+                    "resonant coefficient of a real polynomial must be real"
+                )
             k_const = re
             continue
         # divide by i d: (re + i im)/(i d) = im/d - i re/d
@@ -76,8 +79,8 @@ def solve_homological(
         # (x^2+y^2)^(n/2) = (z zbar)^(n/2) in the complex basis
         out[(m, m)] = (prev[0] + gauge, prev[1])
     f = from_complex(ComplexCoeffs(out))
-    if n % 2:
-        assert k_const == 0
+    if n % 2 and k_const != 0:
+        raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
     return HomologicalSolution(
         f=HomogeneousPoly(n, f),
         k_const=k_const,

@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from .errors import NonNormalizedLinearPart, NotQuasiHomogeneous, OrderTooSmall
-from .homological import apply_rotational, radial_power, solve_homological
+from .errors import NonNormalizedLinearPart, OrderTooSmall
+from .homological import radial_power, solve_homological
 from .poly import (
     BiPoly,
     HomogeneousPoly,
     R2,
     circle_average,
     homogeneous_components,
-    poisson_bracket,
 )
 
 H2 = BiPoly({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
@@ -123,6 +122,53 @@ def _assemble_f(
     return total
 
 
+def _recursion(
+    order: int,
+    source: Callable[[int, dict[int, BiPoly]], BiPoly],
+    gauges: dict[int, Fraction] | None = None,
+) -> LyapunovResult:
+    """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree.
+
+    `source(n, h)` gives the degree-n slice f_n of dV/dt from the known
+    H_j (j < n). Odd n solves D H_n = -f_n; even n reads V = avg(f_n)
+    and solves D H_n = V (x^2+y^2)^(n/2) - f_n, stopping after the
+    constant of slice order+2.
+    """
+    if order < 2:
+        raise OrderTooSmall(f"order {order} < 2")
+    gauges = gauges or {}
+    h: dict[int, BiPoly] = {2: H2}
+    v_list: list[Fraction] = []
+    for n in range(3, order + 3):
+        f_n = source(n, h)
+        if n % 2 == 0:
+            v = circle_average(f_n)
+            v_list.append(v)
+            if n == order + 2:
+                break
+            rhs = radial_power(n) * v - f_n
+            sol = solve_homological(
+                HomogeneousPoly(n, rhs), gauge=gauges.get(n, Fraction(0))
+            )
+            if sol.k_const != 0:
+                raise AssertionError(
+                    f"degree {n}: the average was removed but k_const = {sol.k_const}"
+                )
+            h[n] = sol.f.inner
+        else:
+            if n == order + 2:
+                break
+            h[n] = solve_homological(HomogeneousPoly(n, -f_n)).f.inner
+    verdict, idx = _classify(v_list, order)
+    return LyapunovResult(
+        order=order,
+        h_list=tuple(HomogeneousPoly(n, h[n]) for n in range(3, order + 2)),
+        v_list=tuple(v_list),
+        verdict=verdict,
+        verdict_index=idx,
+    )
+
+
 def compute_lyapunov(
     field: PlanarField,
     order: int,
@@ -134,38 +180,8 @@ def compute_lyapunov(
     constant only. `gauges` optionally injects kernel coefficients for
     the even-degree solves (degree -> coefficient), default all zero.
     """
-    if order < 2:
-        raise OrderTooSmall(f"order {order} < 2")
-    gauges = gauges or {}
     xs, ys = field.nonlinear_slices()
-    h: dict[int, BiPoly] = {2: H2}
-    v_list: list[Fraction] = []
-    for n in range(3, order + 3):
-        f_n = _assemble_f(n, h, xs, ys)
-        if n % 2 == 0:
-            v = circle_average(f_n)
-            v_list.append(v)
-            if n == order + 2:
-                break
-            rhs = radial_power(n) * v - f_n
-            sol = solve_homological(
-                HomogeneousPoly(n, rhs), gauge=gauges.get(n, Fraction(0))
-            )
-            assert sol.k_const == 0
-            h[n] = sol.f.inner
-        else:
-            if n == order + 2:
-                break
-            sol = solve_homological(HomogeneousPoly(n, -f_n))
-            h[n] = sol.f.inner
-    verdict, idx = _classify(v_list, order)
-    return LyapunovResult(
-        order=order,
-        h_list=tuple(HomogeneousPoly(n, h[n]) for n in range(3, order + 2)),
-        v_list=tuple(v_list),
-        verdict=verdict,
-        verdict_index=idx,
-    )
+    return _recursion(order, lambda n, h: _assemble_f(n, h, xs, ys), gauges)
 
 
 def lyapunov_function(result: LyapunovResult) -> BiPoly:
@@ -183,91 +199,3 @@ def residual(field: PlanarField, result: LyapunovResult) -> BiPoly:
         if v:
             r = r - R2 ** (k + 1) * v
     return r
-
-
-# -- quasi-homogeneous specialization -------------------------------------------
-
-
-def _qh_slices(field: PlanarField) -> tuple[int, BiPoly, BiPoly]:
-    xs, ys = field.nonlinear_slices()
-    degs = sorted(set(xs) | set(ys))
-    if len(degs) != 1:
-        raise NotQuasiHomogeneous(
-            f"nonlinear part spans degrees {degs}, expected exactly one"
-        )
-    m = degs[0]
-    return m, xs.get(m, BiPoly()), ys.get(m, BiPoly())
-
-
-def quasihomogeneous_parts(field: PlanarField):
-    """Split x' = -y + X_m, y' = x + Y_m into (m, H_{m+1}, g_{m-1}, c) with
-
-        X_m = -H_y - y g + c x (x^2+y^2)^((m-1)/2)
-        Y_m =  H_x + x g + c y (x^2+y^2)^((m-1)/2)
-
-    The radial coefficient c can be nonzero only for odd m.
-    """
-    m, xm, ym = _qh_slices(field)
-    x_mono = BiPoly.monomial(1, 0)
-    y_mono = BiPoly.monomial(0, 1)
-    div = xm.diff_x() + ym.diff_y()
-    if m % 2:
-        c = circle_average(div) / (m + 1)
-        rad_x = radial_power(m - 1) * x_mono * c
-        rad_y = radial_power(m - 1) * y_mono * c
-        div = div - (rad_x.diff_x() + rad_y.diff_y())
-    else:
-        c = Fraction(0)
-        rad_x = rad_y = BiPoly()
-    g = solve_homological(HomogeneousPoly(m - 1, div)).f.inner
-    xt = xm + y_mono * g - rad_x
-    yt = ym - x_mono * g - rad_y
-    h = (x_mono * yt - y_mono * xt) * Fraction(1, m + 1)
-    # exactness check of the decomposition
-    assert -h.diff_y() - y_mono * g + rad_x == xm
-    assert h.diff_x() + x_mono * g + rad_y == ym
-    return m, h, g, c
-
-
-def constants_quasihomogeneous(field: PlanarField, order: int) -> LyapunovResult:
-    """Same contract as compute_lyapunov, by the chain recursion.
-
-    For a single nonlinear degree m the only nonzero H's sit on degrees
-    2 + k(m-1); the degree-n source collapses to
-    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m.
-    """
-    if order < 2:
-        raise OrderTooSmall(f"order {order} < 2")
-    m, h_top, g, c = quasihomogeneous_parts(field)
-    rad = radial_power(m - 1) if m % 2 else None
-    h: dict[int, BiPoly] = {2: H2}
-    chain = {2 + k * (m - 1) for k in range(order + 1)}
-    v_list: list[Fraction] = []
-    for n in range(3, order + 3):
-        j = n + 1 - m
-        if j in chain and j in h:
-            hj = h[j]
-            f_n = poisson_bracket(h_top, hj) + g * apply_rotational(hj)
-            if c:
-                f_n = f_n + rad * hj * (c * j)
-        else:
-            f_n = BiPoly()
-        if n % 2 == 0:
-            v = circle_average(f_n)
-            v_list.append(v)
-            if n == order + 2:
-                break
-            sol = solve_homological(HomogeneousPoly(n, radial_power(n) * v - f_n))
-            h[n] = sol.f.inner
-        else:
-            if n == order + 2:
-                break
-            h[n] = solve_homological(HomogeneousPoly(n, -f_n)).f.inner
-    verdict, idx = _classify(v_list, order)
-    return LyapunovResult(
-        order=order,
-        h_list=tuple(HomogeneousPoly(n, h[n]) for n in range(3, order + 2)),
-        v_list=tuple(v_list),
-        verdict=verdict,
-        verdict_index=idx,
-    )

@@ -1,6 +1,7 @@
 """Structural classifiers for planar fields.
 
-Covers the (H, g) decomposition, the weak center proportionality test,
+Covers the (H, g) decomposition and its quasi-homogeneous form with the
+chain recursion built on it, the weak center proportionality test,
 axis reversibility and Cauchy-Riemann detection in the complex basis,
 the Hamiltonian test, and the classical quadratic center conditions
 (the five-parameter and six-parameter families).
@@ -11,14 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ObstructionNonzeroAverage
-from .homological import solve_homological
-from .lyapunov import PlanarField
+from .errors import NotQuasiHomogeneous, ObstructionNonzeroAverage, OrderTooSmall
+from .homological import apply_rotational, radial_power, solve_homological
+from .lyapunov import LyapunovResult, PlanarField, _recursion
 from .poly import (
     BiPoly,
     R2,
+    X,
+    Y,
     circle_average,
     homogeneous_components,
+    poisson_bracket,
     to_complex,
 )
 
@@ -61,9 +65,67 @@ def hg_decompose(field: PlanarField) -> HGDecomposition:
         )
         h = h + ht
     # solvability was established slice by slice; failure here is a bug
-    assert -h.diff_y() - y_mono * g == xs
-    assert h.diff_x() + x_mono * g == ys
+    if -h.diff_y() - y_mono * g != xs or h.diff_x() + x_mono * g != ys:
+        raise AssertionError("h/g decomposition does not reproduce the field")
     return HGDecomposition(h=h, g=g)
+
+
+def _qh_slices(field: PlanarField) -> tuple[int, BiPoly, BiPoly]:
+    xs, ys = field.nonlinear_slices()
+    degs = sorted(set(xs) | set(ys))
+    if len(degs) != 1:
+        raise NotQuasiHomogeneous(
+            f"nonlinear part spans degrees {degs}, expected exactly one"
+        )
+    m = degs[0]
+    return m, xs.get(m, BiPoly()), ys.get(m, BiPoly())
+
+
+def quasihomogeneous_parts(field: PlanarField):
+    """Split x' = -y + X_m, y' = x + Y_m into (m, H_{m+1}, g_{m-1}, c) with
+
+        X_m = -H_y - y g + c x (x^2+y^2)^((m-1)/2)
+        Y_m =  H_x + x g + c y (x^2+y^2)^((m-1)/2)
+
+    The radial coefficient c can be nonzero only for odd m, where it is the
+    circle average of the divergence over m + 1; hg_decompose splits what
+    is left once the radial term is removed.
+    """
+    m, xm, ym = _qh_slices(field)
+    c = Fraction(0)
+    if m % 2:
+        c = circle_average(xm.diff_x() + ym.diff_y()) / (m + 1)
+    if c:
+        rad = radial_power(m - 1) * c
+        field = PlanarField(p=field.p - X * rad, q=field.q - Y * rad)
+    dec = hg_decompose(field)
+    return m, dec.h, dec.g, c
+
+
+def constants_quasihomogeneous(field: PlanarField, order: int) -> LyapunovResult:
+    """Same contract as compute_lyapunov, by the chain recursion.
+
+    For a single nonlinear degree m the only nonzero H's sit on degrees
+    2 + k(m-1); the degree-n source collapses to
+    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m.
+    """
+    if order < 2:  # reported before any shape error of the field
+        raise OrderTooSmall(f"order {order} < 2")
+    m, h_top, g, c = quasihomogeneous_parts(field)
+    rad = radial_power(m - 1) if m % 2 else None
+    chain = {2 + k * (m - 1) for k in range(order + 1)}
+
+    def source(n: int, h: dict[int, BiPoly]) -> BiPoly:
+        j = n + 1 - m
+        if j not in chain or j not in h:
+            return BiPoly()
+        hj = h[j]
+        f_n = poisson_bracket(h_top, hj) + g * apply_rotational(hj)
+        if c:
+            f_n = f_n + rad * hj * (c * j)
+        return f_n
+
+    return _recursion(order, source)
 
 
 @dataclass(frozen=True)

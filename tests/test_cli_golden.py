@@ -1,0 +1,90 @@
+"""Byte-for-byte replay of the CLI against stored output.
+
+`tests/data/cli_golden.json` holds the exit code, stdout and stderr of
+every invocation in CASES as the engine printed them at commit 118bc59,
+before the command handlers shared one report-and-print path. The input
+documents live in `tests/data/cli/`; each case runs in a copy of that
+directory so the relative paths echoed into the reports stay the same.
+The stored bytes are the reference: when a case differs, the CLI changed.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from centerfocus.cli import main
+
+DATA = Path(__file__).parent / "data"
+TWO_PI = "6.283185307179586"
+
+CASES = {
+    "analyze-one": ["analyze", "--input", "radial.json", "--order", "6"],
+    "analyze-two": ["analyze", "--input", "radial.json", "quad.json", "--order", "4"],
+    "classify-consistent": ["classify", "--input", "loud1.json"],
+    "classify-disagree": ["classify", "--input", "tiny.json"],
+    "classify-obstructed": ["classify", "--input", "obstructed.json"],
+    "classify-two": ["classify", "--input", "bautin.json", "radial.json", "--c", "0.05,0.1"],
+    "inverse-ham": ["inverse", "--spec", "ham.json", "--check-order", "8"],
+    "inverse-m3": ["inverse", "--spec", "spec3.json", "--check-order", "6"],
+    "darboux-plain": ["darboux", "--input", "uniso.json", "--curve", "line.json"],
+    "darboux-lambda": [
+        "darboux", "--input", "uniso.json", "--curve", "line.json", "--lambda", "2/3",
+    ],
+    "darboux-not-invariant": ["darboux", "--input", "radial.json", "--curve", "xline.json"],
+    "returnmap": ["returnmap", "--input", "radial.json", "--c", "0.05,0.1"],
+    "period": ["period", "--input", "iso.json", "--c", "0.05,0.1"],
+    "orbit": [
+        "orbit", "--input", "linear.json", "--x0", "1", "--y0", "0",
+        "--t", TWO_PI, "--out", "orbit.csv",
+    ],
+    "catalog-list": ["catalog", "list"],
+    "catalog-get-bautin": ["catalog", "get", "bautin", "--param", "lam5=1/2"],
+    "catalog-get-loud2": ["catalog", "get", "loud2"],
+    "catalog-get-quartic-ttt": ["catalog", "get", "quartic_ttt"],
+    "catalog-get-unknown": ["catalog", "get", "lorenz"],
+    "analyze-parse-error": ["analyze", "--input", "bad.json", "--order", "4"],
+    "analyze-over-cap": ["analyze", "--input", "radial.json", "--order", "30"],
+    "darboux-lambda-zero": [
+        "darboux", "--input", "radial.json", "--curve", "line.json", "--lambda", "0",
+    ],
+}
+# every command that takes --json is replayed in both modes
+JSON_CASES = {
+    f"{name}--json": argv + ["--json"]
+    for name, argv in CASES.items()
+    if argv[:2] != ["catalog", "get"]
+}
+ALL_CASES = {**CASES, **JSON_CASES}
+
+
+def run_case(argv, capsys) -> dict:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden) == set(ALL_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
+def test_cli_bytes_match_golden(name, golden, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CF_MAX_DEGREE", raising=False)
+    for src in (DATA / "cli").iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    monkeypatch.chdir(tmp_path)
+    got = run_case(ALL_CASES[name], capsys)
+    want = golden[name]
+    assert got["exit"] == want["exit"]
+    assert got["stdout"] == want["stdout"]
+    assert got["stderr"] == want["stderr"]

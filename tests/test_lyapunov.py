@@ -9,6 +9,9 @@ from centerfocus import (
     NotQuasiHomogeneous,
     OrderTooSmall,
     PlanarField,
+    R2,
+    X,
+    Y,
     compute_lyapunov,
     constants_quasihomogeneous,
     lyapunov_function,
@@ -139,11 +142,41 @@ def test_quasihomogeneous_rejects_mixed_degrees():
         quasihomogeneous_parts(field)
 
 
+def random_form(rng, degree) -> BiPoly:
+    return BiPoly({(i, degree - i): rand_frac(rng) for i in range(degree + 1)})
+
+
+def qh_field(rng, m, c):
+    """x' = -y - H_y - y g + c x r^(m-1), y' = x + H_x + x g + c y r^(m-1)."""
+    h, g = random_form(rng, m + 1), random_form(rng, m - 1)
+    rad = R2 ** ((m - 1) // 2) * c if m % 2 else BiPoly()
+    return PlanarField(
+        p=-Y - h.diff_y() - Y * g + X * rad,
+        q=X + h.diff_x() + X * g + Y * rad,
+    )
+
+
 def test_qh_specialization_matches_general_recursion():
     rng = random.Random(104)
-    for _ in range(20):
-        field = cubic_field(*(rand_frac(rng) for _ in range(8)))
+    fields = [cubic_field(*(rand_frac(rng) for _ in range(8))) for _ in range(20)]
+    fields += [qh_field(rng, 4, 0) for _ in range(4)]
+    fields += [qh_field(rng, 5, rand_frac(rng, nonzero=True)) for _ in range(4)]
+    for field in fields:
         fast = constants_quasihomogeneous(field, 6)
         slow = compute_lyapunov(field, 6)
         assert fast.v_list == slow.v_list
+        assert fast.h_list == slow.h_list
         assert fast.verdict == slow.verdict
+
+
+def test_quasihomogeneous_parts_reconstruct_odd_degree():
+    rng = random.Random(105)
+    for m in (3, 3, 5, 5, 7):
+        c_in = rand_frac(rng, nonzero=True)
+        field = qh_field(rng, m, c_in)
+        xm, ym = field.nonlinear()
+        m_out, h, g, c = quasihomogeneous_parts(field)
+        rad = R2 ** ((m - 1) // 2) * c
+        assert (m_out, c) == (m, c_in)
+        assert -h.diff_y() - Y * g + X * rad == xm
+        assert h.diff_x() + X * g + Y * rad == ym

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import centerfocus
 from centerfocus import (
     BiPoly,
     ObstructionNonzeroAverage,
@@ -26,6 +32,41 @@ def test_hg_decompose_reconstructs_quadratic():
         y = BiPoly.monomial(0, 1)
         assert -dec.h.diff_y() - y * dec.g == xs
         assert dec.h.diff_x() + x * dec.g == ys
+
+
+def test_hg_identity_check_survives_optimize():
+    # under python -O a bare assert would let a wrong g through unnoticed
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        import centerfocus.structure as st
+        from centerfocus import BiPoly, HomogeneousPoly, PlanarField
+
+        real = st.solve_homological
+
+        def wrong(g, gauge=0):
+            sol = real(g, gauge)
+            bad = sol.f.inner + BiPoly.monomial(1, 0)
+            return dataclasses.replace(sol, f=HomogeneousPoly(sol.f.degree, bad))
+
+        st.solve_homological = wrong
+        field = PlanarField(
+            p=BiPoly({(0, 1): -1, (2, 0): 1, (1, 1): 2}),
+            q=BiPoly({(1, 0): 1, (0, 2): 3}),
+        )
+        try:
+            st.hg_decompose(field)
+        except AssertionError:
+            print("optimize", sys.flags.optimize, "raised")
+        else:
+            print("optimize", sys.flags.optimize, "returned")
+    """)
+    src = Path(centerfocus.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "optimize 1 raised"
 
 
 def test_hg_obstruction_reports_slice():
