@@ -70,6 +70,11 @@ def _load_json(text: str):
         raise ParseError(
             f"invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _parse_coeff(raw, where: str) -> Fraction:

@@ -1,22 +1,44 @@
 """The rotational operator D f = x f_y - y f_x and its inversion.
 
-In the complex monomial basis D is diagonal: D(z^k zbar^l) =
-i (k - l) z^k zbar^l. Solving D f = g on homogeneous polynomials of
-degree n is therefore a termwise division, except at the resonant
-monomial (z zbar)^(n/2) (even n only), whose coefficient must be
-projected out and reappears as the multiple of (x^2 + y^2)^(n/2).
+In the real monomial basis a_k = [x^k y^(n-k)] of degree-n polynomials,
+D f = g reads
+
+    g_k = (n - k + 1) a_(k-1) - (k + 1) a_(k+1),    k = 0 .. n,
+
+with a_(-1) = a_(n+1) = 0. Each equation links two coefficients of the
+same parity, so the system splits into two chains, each solved by one
+bidiagonal sweep in exact arithmetic:
+
+- the equations with even k fix the odd-index a's, forward from
+  a_1 = -g_0;
+- the equations with odd k fix the even-index a's: backward from
+  a_(n-1) = g_n for odd n, forward from a_0 = 0 for even n.
+
+Odd n: both chains are square, D is invertible and the solution is
+unique. Even n: the even-k chain has one equation more than unknowns,
+so g must first lose its resonant part k_const (x^2+y^2)^(n/2), where
+k_const is the circle average of g; the leftover equation g_n = a_(n-1)
+is then the compatibility check. The odd-k chain has one unknown more,
+the kernel direction (x^2+y^2)^(n/2), fixed by making the circle
+average of f equal to `gauge`.
+
+The complex basis z, zbar, where D(z^k zbar^l) = i (k - l) z^k zbar^l
+is diagonal, gives the same solution (Romanovski & Shafer, The Center
+and Cyclicity Problems, 2009) at O(n^2) Gaussian-rational products per
+monomial; `tests/oracles.py` keeps it as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .poly import (
     BiPoly,
-    ComplexCoeffs,
     HomogeneousPoly,
-    R2,
+    circle_average,
+    # not called here; perfbench's tracer patches these names on this module
     from_complex,
     to_complex,
 )
@@ -46,7 +68,8 @@ def solve_homological(
 
     Odd n: the solution is unique and k_const = 0. Even n: k_const is
     the circle average of g, and the kernel direction (x^2+y^2)^(n/2)
-    in f is fixed by `gauge` (0 gives the canonical solution).
+    in f is fixed by `gauge`, the circle average of f (0 gives the
+    canonical solution).
     """
     if isinstance(g, HomogeneousPoly):
         n, gp = g.degree, g.inner
@@ -56,35 +79,39 @@ def solve_homological(
         gp = g
         n = max(g.degree(), 0)
     gauge = Fraction(gauge)
+    even = n % 2 == 0
 
-    cc = to_complex(gp)
-    out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    k_const = Fraction(0)
-    for (k, l), (re, im) in cc.entries.items():
-        d = k - l
-        if d == 0:
-            # resonant: (z zbar)^(n/2) = (x^2+y^2)^(n/2); for real g this
-            # coefficient is real and equals the circle average of g
-            if im != 0:
-                raise AssertionError(
-                    "resonant coefficient of a real polynomial must be real"
-                )
-            k_const = re
-            continue
-        # divide by i d: (re + i im)/(i d) = im/d - i re/d
-        out[(k, l)] = (im / d, -re / d)
-    if n % 2 == 0 and gauge:
-        m = n // 2
-        prev = out.get((m, m), (Fraction(0), Fraction(0)))
-        # (x^2+y^2)^(n/2) = (z zbar)^(n/2) in the complex basis
-        out[(m, m)] = (prev[0] + gauge, prev[1])
-    f = from_complex(ComplexCoeffs(out))
-    if n % 2 and k_const != 0:
+    k_const = circle_average(gp)
+    if not even and k_const != 0:
         raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
+    gk = [gp.coeff(k, n - k) for k in range(n + 1)]
+    if even and k_const:
+        for i in range(n // 2 + 1):
+            gk[2 * i] -= k_const * comb(n // 2, i)
+
+    # a[n + 1] is never written: it is the zero a_(n+1), and as a[-1] also a_(-1)
+    a = [Fraction(0)] * (n + 2)
+    for k in range(0, n, 2):
+        a[k + 1] = ((n - k + 1) * a[k - 1] - gk[k]) / (k + 1)
+    if even:
+        if gk[n] != a[n - 1]:
+            raise AssertionError(
+                f"degree {n}: g_n = {gk[n]} but a_(n-1) = {a[n - 1]} after "
+                f"removing the average {k_const}"
+            )
+        for k in range(1, n, 2):
+            a[k + 1] = ((n - k + 1) * a[k - 1] - gk[k]) / (k + 1)
+    else:
+        for k in range(n, 0, -2):
+            a[k - 1] = (gk[k] + (k + 1) * a[k + 1]) / (n - k + 1)
+
+    f = BiPoly({(k, n - k): a[k] for k in range(n + 1)})
+    if even:
+        f = f + radial_power(n) * (gauge - circle_average(f))
     return HomologicalSolution(
         f=HomogeneousPoly(n, f),
         k_const=k_const,
-        gauge=gauge if n % 2 == 0 else Fraction(0),
+        gauge=gauge if even else Fraction(0),
     )
 
 
@@ -92,4 +119,5 @@ def radial_power(n: int) -> BiPoly:
     """(x^2 + y^2)^(n/2) for even n."""
     if n % 2:
         raise ValueError("radial power needs an even degree")
-    return R2 ** (n // 2)
+    m = n // 2
+    return BiPoly({(2 * i, n - 2 * i): comb(m, i) for i in range(m + 1)})

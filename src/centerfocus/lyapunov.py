@@ -23,7 +23,7 @@ from .poly import (
     BiPoly,
     HomogeneousPoly,
     R2,
-    circle_average,
+    circle_average,  # called through this module: perfbench's tracer patches it here
     homogeneous_components,
 )
 

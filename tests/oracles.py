@@ -1,15 +1,22 @@
 """Independent reference implementations used to cross-check the engine.
 
-Both oracles avoid the complex-basis trick entirely: the rotational
-equation is solved by dense Gaussian elimination over Fraction, and the
-constant recursion is rerun in sympy with per-degree linear solves.
+The rotational equation has two references: dense Gaussian elimination
+over Fraction, and the complex-basis solve, which divides termwise in
+z, zbar where the operator is diagonal. The constant recursion
+is rerun in sympy with per-degree linear solves.
 """
 
 from fractions import Fraction
 
 import sympy as sp
 
-from centerfocus import BiPoly
+from centerfocus import (
+    BiPoly,
+    ComplexCoeffs,
+    HomogeneousPoly,
+    from_complex,
+    to_complex,
+)
 
 
 def _gauss_any_solution(rows, rhs):
@@ -74,6 +81,48 @@ def dense_rotational_solve(g: BiPoly):
     f = BiPoly({mono: sol[c] for c, mono in enumerate(monos)})
     k = sol[n + 1] if even else Fraction(0)
     return f, k
+
+
+def complex_rotational_solve(g, gauge=0):
+    """Solve D f = g - K (x^2+y^2)^(n/2) in the z, zbar basis.
+
+    D(z^k zbar^l) = i (k - l) z^k zbar^l, so every non-resonant
+    coefficient is divided by i (k - l); the resonant one (z zbar)^(n/2)
+    is K, and f carries `gauge` there. `g` is a homogeneous BiPoly or a
+    HomogeneousPoly. Returns (f as BiPoly, K).
+    """
+    if isinstance(g, HomogeneousPoly):
+        n, gp = g.degree, g.inner
+    else:
+        gp = g
+        n = max(g.degree(), 0)
+    gauge = Fraction(gauge)
+
+    cc = to_complex(gp)
+    out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    k_const = Fraction(0)
+    for (k, l), (re, im) in cc.entries.items():
+        d = k - l
+        if d == 0:
+            # resonant: (z zbar)^(n/2) = (x^2+y^2)^(n/2); for real g this
+            # coefficient is real and equals the circle average of g
+            if im != 0:
+                raise AssertionError(
+                    "resonant coefficient of a real polynomial must be real"
+                )
+            k_const = re
+            continue
+        # divide by i d: (re + i im)/(i d) = im/d - i re/d
+        out[(k, l)] = (im / d, -re / d)
+    if n % 2 == 0 and gauge:
+        m = n // 2
+        prev = out.get((m, m), (Fraction(0), Fraction(0)))
+        # (x^2+y^2)^(n/2) = (z zbar)^(n/2) in the complex basis
+        out[(m, m)] = (prev[0] + gauge, prev[1])
+    f = from_complex(ComplexCoeffs(out))
+    if n % 2 and k_const != 0:
+        raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
+    return f, k_const
 
 
 _X, _Y = sp.symbols("x y")

@@ -1,12 +1,14 @@
+import contextlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from centerfocus import PlanarField
 from centerfocus.cli import main, parse_inverse_spec, parse_system, system_json
-from centerfocus.errors import ParseError
+from centerfocus.errors import DegreeMismatch, NonNormalizedLinearPart, ParseError
 
 LINEAR_X = [{"i": 0, "j": 1, "c": -1}]
 LINEAR_Y = [{"i": 1, "j": 0, "c": 1}]
@@ -90,6 +92,67 @@ class TestParsing:
             parse_inverse_spec(json.dumps({"m": 3, "h": [[]], "g": [[], []]}))
         with pytest.raises(ParseError, match="'m' must be"):
             parse_inverse_spec(json.dumps({"h": [], "g": []}))
+
+
+# Any JSON value; the schema's own keys are drawn often so that documents
+# get past the top-level checks and into the term and coefficient parsers.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["1/2", "-3/0", "0.5", "1e3", "x", " 7 "]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["x_dot", "y_dot", "name", "metadata", "m", "h", "g", "i", "j", "c"])
+        | st.text(max_size=4),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=20,
+)
+json_terms = st.lists(
+    st.fixed_dictionaries({
+        "i": st.integers(-1, 4) | json_values,
+        "j": st.integers(-1, 4) | json_values,
+        "c": st.integers(-3, 3) | st.sampled_from(["1/2", "2/0", "0.1"]) | json_values,
+    }),
+    max_size=4,
+)
+system_docs = st.fixed_dictionaries(
+    {"x_dot": json_terms, "y_dot": json_terms},
+    optional={"name": json_values, "metadata": json_values},
+)
+inverse_docs = st.fixed_dictionaries(
+    {"m": st.integers(1, 4) | json_values},
+    optional={
+        "h": st.lists(json_terms, max_size=4),
+        "g": st.lists(json_terms, max_size=4),
+        "name": json_values,
+    },
+)
+texts = st.text() | st.sampled_from(["1" * 5000, "[" * 5000, '{"m": ' + "9" * 4400 + "}"])
+
+# the one typed error each parser leaves to the constructor it calls,
+# so that the message names the exact violation
+SYSTEM_ERRORS = (ParseError, NonNormalizedLinearPart)
+INVERSE_ERRORS = (ParseError, DegreeMismatch)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(texts | json_values.map(json.dumps) | system_docs.map(json.dumps))
+    def test_parse_system_raises_only_typed_errors(self, text):
+        with contextlib.suppress(*SYSTEM_ERRORS):
+            parse_system(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts | json_values.map(json.dumps) | inverse_docs.map(json.dumps))
+    def test_parse_inverse_spec_raises_only_typed_errors(self, text):
+        with contextlib.suppress(*INVERSE_ERRORS):
+            parse_inverse_spec(text)
+
+    @pytest.mark.parametrize("parse", [parse_system, parse_inverse_spec])
+    def test_oversized_and_deep_json_is_a_parse_error(self, parse):
+        for text in ("1" * 5000, "[" * 100000):
+            with pytest.raises(ParseError, match="invalid JSON"):
+                parse(text)
 
 
 class TestAnalyze:

@@ -1,20 +1,28 @@
-"""The rotational solver against identities and a dense oracle."""
+"""The rotational solver against identities and two independent oracles."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import centerfocus
 from centerfocus import (
     BiPoly,
     HomogeneousPoly,
+    R2,
     apply_rotational,
     circle_average,
     radial_power,
     solve_homological,
 )
 from helpers import rand_frac
-from oracles import dense_rotational_solve
+from oracles import complex_rotational_solve, dense_rotational_solve
 
 
 def random_homogeneous(rng, degree):
@@ -51,7 +59,7 @@ def test_gauge_adds_kernel():
 
 def test_matches_dense_oracle():
     rng = random.Random(13)
-    for degree in range(2, 11):
+    for degree in range(2, 31):
         g = random_homogeneous(rng, degree)
         f_oracle, k_oracle = dense_rotational_solve(g)
         sol = solve_homological(g)
@@ -78,3 +86,60 @@ def test_non_homogeneous_rejected():
 def test_radial_power_odd_rejected():
     with pytest.raises(ValueError):
         radial_power(3)
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def sparse_homogeneous(draw):
+    degree = draw(st.integers(0, 30))
+    slots = draw(st.sets(st.integers(0, degree), max_size=degree + 1))
+    terms = {(degree - i, i): draw(fractions) for i in slots}
+    return HomogeneousPoly(degree, BiPoly(terms))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_homogeneous(), fractions)
+def test_matches_complex_basis_solve(g, gauge):
+    f_ref, k_ref = complex_rotational_solve(g, gauge)
+    sol = solve_homological(g, gauge)
+    assert sol.f.inner == f_ref
+    assert sol.k_const == k_ref
+    assert sol.gauge == (gauge if g.degree % 2 == 0 else 0)
+
+
+def test_radial_power_matches_r2_powers():
+    for m in range(16):
+        assert radial_power(2 * m) == R2**m
+
+
+def test_solve_checks_survive_optimize():
+    # a wrong circle average must trip the odd-degree resonance check and
+    # the even-degree compatibility check, also with asserts compiled out
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import centerfocus.homological as hom
+        from centerfocus import BiPoly
+
+        hom.circle_average = lambda p: Fraction(1, 3)
+        for degree in (2, 3, 4, 7):
+            g = BiPoly({(degree - i, i): i + 1 for i in range(degree + 1)})
+            try:
+                hom.solve_homological(g)
+            except AssertionError:
+                print(degree, "raised")
+            else:
+                print(degree, "returned")
+        print("optimize", sys.flags.optimize)
+    """)
+    src = Path(centerfocus.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "2 raised", "3 raised", "4 raised", "7 raised", "optimize 1",
+    ]
