@@ -5,14 +5,22 @@ and period function on the positive x-axis section, equilibrium
 hunting, and a center/focus hint from displacement signs. Everything
 here is approximate by nature; exact claims live in the symbolic
 modules and the two are compared, never reconciled silently.
+
+The field is evaluated by one compiled kernel per call site
+(``poly.float_code``), fed Python floats unpacked from the solver's
+state: the values are bit for bit those of the plain term loop, so
+orbits, return maps and periods do not depend on the kernel. A field
+that leaves the float range (``x**e`` overflowing) or an angle equation
+evaluated at the origin ends in ``StepFailure``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -26,7 +34,7 @@ from .errors import (
     TimeBudgetExceeded,
 )
 from .lyapunov import PlanarField
-from .poly import BiPoly
+from .poly import float_code
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,17 +52,15 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
 
 
-def compile_poly(p: BiPoly) -> Callable[[float, float], float]:
-    """Closure evaluating p in floats, terms in graded order."""
-    terms = [(i, j, float(c)) for (i, j), c in p.terms()]
-
-    def ev(x: float, y: float) -> float:
-        total = 0.0
-        for i, j, c in terms:
-            total += c * x**i * y**j
-        return total
-
-    return ev
+@contextlib.contextmanager
+def _float_range():
+    """Turn the kernel's float exceptions into a typed StepFailure."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise StepFailure(
+            f"field evaluation failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,10 @@ class FocusLike:
 
 
 def _rhs(field: PlanarField):
-    p = compile_poly(field.p)
-    q = compile_poly(field.q)
+    pq = float_code((field.p, field.q))
 
     def rhs(_t, s):
-        x, y = s
-        return (p(x, y), q(x, y))
+        return pq(*s.tolist())
 
     return rhs
 
@@ -113,16 +117,17 @@ def integrate(
     """Integrate to t_end, one output row per accepted step."""
     if t_end > cfg.max_time:
         raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {cfg.max_time}")
-    sol = solve_ivp(
-        _rhs(field),
-        (0.0, t_end),
-        (x0, y0),
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=False,
-    )
+    with _float_range():
+        sol = solve_ivp(
+            _rhs(field),
+            (0.0, t_end),
+            (x0, y0),
+            method="RK45",
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            max_step=cfg.max_step,
+            dense_output=False,
+        )
     if not sol.success:
         raise StepFailure(sol.message)
     return Trajectory(t=sol.t, x=sol.y[0], y=sol.y[1])
@@ -144,13 +149,11 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     """
     if c <= 0:
         raise PreconditionFailed("section abscissa must be positive")
-    p = compile_poly(field.p)
-    q = compile_poly(field.q)
+    pq = float_code((field.p, field.q))
 
     def rhs(_t, s):
-        x, y, _ = s
-        px = p(x, y)
-        qx = q(x, y)
+        x, y, _ = s.tolist()
+        px, qx = pq(x, y)
         return (px, qx, (x * qx - y * px) / (x * x + y * y))
 
     def turn_done(_t, s):
@@ -160,23 +163,25 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     turn_done.direction = 1.0
 
     def stalled(_t, s):
-        x, y, _ = s
-        return x * q(x, y) - y * p(x, y)
+        x, y, _ = s.tolist()
+        px, qx = pq(x, y)
+        return x * qx - y * px
 
     stalled.terminal = True
     stalled.direction = -1.0
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, cfg.max_time),
-        (c, 0.0, 0.0),
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-        events=(turn_done, stalled),
-    )
+    with _float_range():
+        sol = solve_ivp(
+            rhs,
+            (0.0, cfg.max_time),
+            np.array((c, 0.0, 0.0)),  # solve_ivp hands y0 to the events as given
+            method="RK45",
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            max_step=cfg.max_step,
+            dense_output=True,
+            events=(turn_done, stalled),
+        )
     if not sol.success and sol.status == -1:
         raise StepFailure(sol.message)
     if len(sol.t_events[1]):
@@ -189,11 +194,11 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     # Newton on y(t) = 0 from the event time; dense output is smooth here
     t_cur = t_star
     for _ in range(8):
-        xy = sol.sol(t_cur)
-        y_val = xy[1]
+        x_val, y_val, _ = sol.sol(t_cur).tolist()
         if abs(y_val) <= 1e-13:
             break
-        ydot = q(xy[0], xy[1])
+        with _float_range():
+            ydot = pq(x_val, y_val)[1]
         if ydot == 0.0:
             break
         t_cur -= y_val / ydot
@@ -233,12 +238,9 @@ def find_equilibria(
     grid_n: int = 41,
 ) -> list[tuple[float, float]]:
     """Newton from a seed grid; keep residuals below 1e-10, dedupe at 1e-6."""
-    p = compile_poly(field.p)
-    q = compile_poly(field.q)
-    px = compile_poly(field.p.diff_x())
-    py = compile_poly(field.p.diff_y())
-    qx = compile_poly(field.q.diff_x())
-    qy = compile_poly(field.q.diff_y())
+    p, q = field.p, field.q
+    # values and Jacobian (p, q, p_x, p_y, q_x, q_y) in one call
+    kernel = float_code((p, q, p.diff_x(), p.diff_y(), q.diff_x(), q.diff_y()))
     xmin, xmax, ymin, ymax = box
     found: list[tuple[float, float]] = []
     for xs in np.linspace(xmin, xmax, grid_n):
@@ -246,11 +248,10 @@ def find_equilibria(
             x, y = float(xs), float(ys)
             ok = False
             for _ in range(60):
-                fx, fy = p(x, y), q(x, y)
+                fx, fy, a, b, cc, d = kernel(x, y)
                 if abs(fx) < 1e-13 and abs(fy) < 1e-13:
                     ok = True
                     break
-                a, b, cc, d = px(x, y), py(x, y), qx(x, y), qy(x, y)
                 det = a * d - b * cc
                 if det == 0.0 or not math.isfinite(det):
                     break
@@ -266,7 +267,8 @@ def find_equilibria(
                 continue
             if not (xmin - 1e-9 <= x <= xmax + 1e-9 and ymin - 1e-9 <= y <= ymax + 1e-9):
                 continue
-            if abs(p(x, y)) >= 1e-10 or abs(q(x, y)) >= 1e-10:
+            fx, fy = kernel(x, y)[:2]
+            if abs(fx) >= 1e-10 or abs(fy) >= 1e-10:
                 continue
             if all(abs(x - fx) > 1e-6 or abs(y - fy) > 1e-6 for fx, fy in found):
                 found.append((x, y))

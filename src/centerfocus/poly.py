@@ -6,13 +6,19 @@ empty map is the zero polynomial and equality is structural. Term
 iteration is graded lexicographic (total degree, then x-degree
 descending), which makes printing, serialization and float evaluation
 deterministic.
+
+Float evaluation runs through generated straight-line code
+(``float_code``): one compiled function per polynomial, cached on the
+``BiPoly``, that performs exactly the operations of the term loop
+``total += float(c) * x**i * y**j`` in the same order, so every value
+is bit for bit the loop's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonRealInput
 
@@ -25,9 +31,14 @@ def _grlex(key: tuple[int, int]) -> tuple[int, int]:
 
 
 class BiPoly:
-    """A polynomial in x and y with rational coefficients."""
+    """A polynomial in x and y with rational coefficients.
 
-    __slots__ = ("_terms",)
+    Never mutated after construction, which is what makes the lazily
+    filled ``_ev`` slot (the compiled float kernel used by ``evaluate``)
+    safe to cache.
+    """
+
+    __slots__ = ("_terms", "_ev")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -92,6 +103,13 @@ class BiPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
+
+    # generated code cannot be pickled; the kernel is rebuilt on first use
+    def __getstate__(self):
+        return self._terms
+
+    def __setstate__(self, terms):
+        self._terms = terms
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -277,12 +295,68 @@ def circle_average(p: BiPoly | HomogeneousPoly) -> Fraction:
     return total
 
 
+# Terms per statement in generated sums: one flat sum of a few thousand
+# terms nests deeply enough to raise RecursionError in the compiler.
+_SUM_CHUNK = 256
+
+
+def float_code(polys: Sequence[BiPoly]) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile one function of (x, y) returning the float value of each polynomial.
+
+    The values are bit for bit those of the term loop
+    ``total = 0.0; total += float(c) * x**i * y**j`` over ``p.terms()``:
+    each sum is written ``0.0 + c0*x**i0*y**j0 + c1*...`` in graded
+    order, so products and sums happen in the loop's order. Each power
+    x**e, y**e with e >= 2 is computed once, by the same ``pow`` call,
+    and shared by all terms and polynomials; x**1 is written x and
+    x**0 is dropped, because multiplying by x**1 or by 1.0 is exact.
+    Coefficients are bound as closure variables, never printed as
+    literals.
+    """
+    coeffs: list[float] = []
+    powers: set[tuple[str, int]] = set()
+    sums: list[list[str]] = []
+    for p in polys:
+        products = []
+        for (i, j), c in p.terms():
+            factors = [f"c{len(coeffs)}"]
+            coeffs.append(float(c))
+            for var, e in (("x", int(i)), ("y", int(j))):
+                if e == 1:
+                    factors.append(var)
+                elif e > 1:
+                    factors.append(f"{var}{e}")
+                    powers.add((var, e))
+            products.append("*".join(factors))
+        sums.append(products)
+    body = [f"        {var}{e} = {var}**{e}" for var, e in sorted(powers)]
+    for k, products in enumerate(sums):
+        acc = "0.0"
+        # at least one statement, so the zero polynomial gets s = 0.0
+        for start in range(0, max(len(products), 1), _SUM_CHUNK):
+            chunk = products[start:start + _SUM_CHUNK]
+            body.append(f"        s{k} = " + " + ".join([acc] + chunk))
+            acc = f"s{k}"
+    values = "".join(f"s{k}, " for k in range(len(sums)))
+    params = ", ".join(f"c{n}" for n in range(len(coeffs)))
+    source = "\n".join(
+        [f"def make({params}):", "    def kernel(x, y):"]
+        + body
+        + [f"        return ({values})", "    return kernel"]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<float_code>", "exec"), namespace)
+    return namespace["make"](*coeffs)
+
+
 def evaluate(p: BiPoly, x: float, y: float) -> float:
-    """Float evaluation, terms accumulated in graded order."""
-    total = 0.0
-    for (i, j), c in p.terms():
-        total += float(c) * x**i * y**j
-    return total
+    """Float value of p at (x, y), bit for bit the graded term loop
+    (see ``float_code``); the compiled kernel is cached on p."""
+    try:
+        kernel = p._ev
+    except AttributeError:  # slot not filled yet
+        kernel = p._ev = float_code((p,))
+    return kernel(x, y)[0]
 
 
 # -- complex monomial basis ----------------------------------------------------

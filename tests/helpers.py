@@ -4,6 +4,24 @@ from fractions import Fraction
 
 from centerfocus import BiPoly, PlanarField
 
+# one nontrivial parameter point per catalog family; families absent here
+# take no parameters or use their defaults
+SAMPLE_PARAMS = {
+    "bautin": dict(lam3=1, lam6=1),
+    "schl": dict(a=1, b=1, c=1, k=1, l=1, m=1),
+    "schl1": dict(a=1, beta=-2, lam="1/3"),
+    "rgg": dict(lam4=1, lam5=-2),
+    "req": dict(alpha=1, r=2, s=-1),
+    "reqq": dict(b=1, c=2, beta=-3),
+    "kukles": dict(alpha=1, beta=2, N=-1),
+    "chava56": dict(a=1, b=0),
+    "chava23": dict(a=1, b=2, L="1/3", M=-1),
+    "cubic_qh": dict(A=1, C=-2, L=2, N=-1),
+    "quartic_family": dict(L40=1, K22=0, L22=-1, K04=2),
+    "quintic_family": dict(L50=1, L41=-2, L23=0, K05="1/2"),
+    "r01200": dict(b=1, c=-2, beta=3, gamma=-1),
+}
+
 
 def nl_field(p_extra=None, q_extra=None) -> PlanarField:
     """(-y, x) plus the given nonlinear terms, keys (i, j) -> coeff."""

@@ -3,12 +3,18 @@
 The rotational equation has two references: dense Gaussian elimination
 over Fraction, and the complex-basis solve, which divides termwise in
 z, zbar where the operator is diagonal. The constant recursion
-is rerun in sympy with per-degree linear solves.
+is rerun in sympy with per-degree linear solves. Float evaluation and
+the float oracle's integrations are rerun with the plain term loop on
+NumPy scalars, the evaluator the compiled kernels must match bit for bit.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from centerfocus import (
     BiPoly,
@@ -169,3 +175,91 @@ def sympy_lyapunov(field, order):
             val = sp.nsimplify(sol[vk])
             out.append(Fraction(int(sp.numer(val)), int(sp.denom(val))))
     return out[: order // 2]
+
+
+def loop_evaluate(p: BiPoly, x, y):
+    """Float evaluation, terms accumulated in graded order."""
+    total = 0.0
+    for (i, j), c in p.terms():
+        total += float(c) * x**i * y**j
+    return total
+
+
+def loop_integrate(field, x0, y0, t_end, cfg):
+    """solve_ivp on the term-loop RHS with NumPy-scalar state; the
+    arguments ``numeric.integrate`` passes. Returns the solution."""
+
+    def rhs(_t, s):
+        x, y = s
+        return (loop_evaluate(field.p, x, y), loop_evaluate(field.q, x, y))
+
+    return solve_ivp(
+        rhs, (0.0, t_end), (x0, y0), method="RK45",
+        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        dense_output=False,
+    )
+
+
+def loop_first_return(field, c, cfg):
+    """``numeric._first_return`` on the term-loop evaluator: the same
+    angle-augmented integration, events and section polish, with the
+    field evaluated on NumPy scalars. Returns (t_cross, x_cross,
+    theta_at_cross, solution); raises ValueError where the engine
+    raises a typed error."""
+
+    def p(x, y):
+        return loop_evaluate(field.p, x, y)
+
+    def q(x, y):
+        return loop_evaluate(field.q, x, y)
+
+    def rhs(_t, s):
+        x, y, _ = s
+        px = p(x, y)
+        qx = q(x, y)
+        return (px, qx, (x * qx - y * px) / (x * x + y * y))
+
+    def turn_done(_t, s):
+        return s[2] - 2.0 * math.pi
+
+    turn_done.terminal = True
+    turn_done.direction = 1.0
+
+    def stalled(_t, s):
+        x, y, _ = s
+        return x * q(x, y) - y * p(x, y)
+
+    stalled.terminal = True
+    stalled.direction = -1.0
+
+    sol = solve_ivp(
+        rhs, (0.0, cfg.max_time), (c, 0.0, 0.0), method="RK45",
+        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        dense_output=True, events=(turn_done, stalled),
+    )
+    if sol.status == -1 or len(sol.t_events[1]) or not len(sol.t_events[0]):
+        raise ValueError("no first return")
+    t_star = sol.t_events[0][0]
+    t_cur = t_star
+    for _ in range(8):
+        xy = sol.sol(t_cur)
+        y_val = xy[1]
+        if abs(y_val) <= 1e-13:
+            break
+        ydot = q(xy[0], xy[1])
+        if ydot == 0.0:
+            break
+        t_cur -= y_val / ydot
+    xy = sol.sol(t_cur)
+    if abs(xy[1]) > 1e-13:
+        for h in (0.01, 0.05, 0.2):
+            lo, hi = t_star - h, t_star + h
+            if sol.sol(lo)[1] < 0.0 < sol.sol(hi)[1]:
+                t_cur = brentq(lambda t: sol.sol(t)[1], lo, hi, xtol=1e-15)
+                xy = sol.sol(t_cur)
+                break
+        else:
+            raise ValueError("section crossing could not be refined")
+    if xy[0] <= 0:
+        raise ValueError("section crossing landed at nonpositive x")
+    return t_cur, float(xy[0]), float(xy[2]), sol

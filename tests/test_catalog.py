@@ -17,6 +17,7 @@ from centerfocus import (
 )
 from centerfocus.errors import LambdaZero, MissingParam, UnknownName
 from centerfocus.inverse import find_cofactor
+from helpers import SAMPLE_PARAMS
 
 FAMILY_NAMES = (
     "bautin", "schl", "schl1", "rgg", "req", "reqq",
@@ -26,23 +27,6 @@ FAMILY_NAMES = (
     "quartic_uuu", "quartic_ttt", "quintic_ssss",
     "quartic_family", "quintic_family", "r01200",
 )
-
-# one nontrivial parameter point per family; parameterless ones stay ()
-SAMPLE_PARAMS = {
-    "bautin": dict(lam3=1, lam6=1),
-    "schl": dict(a=1, b=1, c=1, k=1, l=1, m=1),
-    "schl1": dict(a=1, beta=-2, lam="1/3"),
-    "rgg": dict(lam4=1, lam5=-2),
-    "req": dict(alpha=1, r=2, s=-1),
-    "reqq": dict(b=1, c=2, beta=-3),
-    "kukles": dict(alpha=1, beta=2, N=-1),
-    "chava56": dict(a=1, b=0),
-    "chava23": dict(a=1, b=2, L="1/3", M=-1),
-    "cubic_qh": dict(A=1, C=-2, L=2, N=-1),
-    "quartic_family": dict(L40=1, K22=0, L22=-1, K04=2),
-    "quintic_family": dict(L50=1, L41=-2, L23=0, K05="1/2"),
-    "r01200": dict(b=1, c=-2, beta=3, gamma=-1),
-}
 
 TWO_PI = 2.0 * math.pi
 

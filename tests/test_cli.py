@@ -419,6 +419,19 @@ class TestNumericCommands:
         fx, fy = rep["results"]["final"]
         assert abs(fx - 1.0) < 1e-8 and abs(fy) < 1e-8
 
+    @pytest.mark.parametrize("command", [
+        ["returnmap", "--c", "1.5"],
+        ["orbit", "--x0", "1.5", "--y0", "0", "--t", "1", "--out", "orbit.csv"],
+    ])
+    def test_overflowing_field_is_a_step_failure(self, tmp_path, capsys, monkeypatch, command):
+        # x' = -y + x^2000 leaves the float range at once from x = 1.5
+        path = write_system(tmp_path, [{"i": 2000, "j": 0, "c": 1}], [])
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--input", path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("centerfocus: StepFailure: ")
+        assert "Traceback" not in err
+
 
 class TestCatalogCommand:
     def test_list_text(self, capsys):

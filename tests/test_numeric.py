@@ -1,22 +1,32 @@
 import csv
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from centerfocus import (
+    BiPoly,
     CenterLike,
     FocusLike,
+    InverseSpec,
     IntegratorConfig,
+    build_field,
     find_equilibria,
     get,
     integrate,
+    list_families,
     numeric_classify,
     period,
     return_map,
     write_csv,
 )
 from centerfocus.errors import Inconsistent, PreconditionFailed, TimeBudgetExceeded
-from helpers import nl_field, radial_cubic
+from centerfocus.lyapunov import H2
+from centerfocus.numeric import _first_return
+from helpers import SAMPLE_PARAMS, nl_field, radial_cubic, rand_frac
+from oracles import loop_first_return, loop_integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,3 +124,49 @@ def test_write_csv_round_trip(tmp_path):
         assert float(row[0]) == float(t)
         assert float(row[1]) == float(x)
         assert float(row[2]) == float(y)
+
+
+def hamiltonian_field(seed):
+    """A seeded field built by the inverse method from an energy of degree m + 1."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    h_list = (H2,) + tuple(
+        BiPoly({(j - k, k): rand_frac(rng, 3) for k in range(j + 1)}) for j in range(3, m + 2)
+    )
+    one = BiPoly({(0, 0): Fraction(1)})
+    return build_field(InverseSpec(m, h_list, (one,) + (BiPoly({}),) * (m - 1)))
+
+
+DIFFERENTIAL_FIELDS = [
+    pytest.param(lambda name=sig.name: get(name, **SAMPLE_PARAMS.get(name, {})).field, id=sig.name)
+    for sig in list_families()
+] + [
+    pytest.param(lambda seed=seed: hamiltonian_field(seed), id=f"hamiltonian-{seed}")
+    for seed in (11, 12, 13)
+]
+
+
+def same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make_field", DIFFERENTIAL_FIELDS)
+def test_float_oracle_matches_term_loop_bitwise(make_field):
+    """integrate, return_map and period on the compiled kernels reproduce
+    solve_ivp on the term-loop RHS (NumPy-scalar state) bit for bit."""
+    field = make_field()
+    cfg = IntegratorConfig()
+    traj = integrate(field, 0.1, 0.0, 20.0, cfg)
+    ref = loop_integrate(field, 0.1, 0.0, 20.0, cfg)
+    assert same_array(traj.t, ref.t)
+    assert same_array(traj.x, ref.y[0]) and same_array(traj.y, ref.y[1])
+
+    c = 0.05
+    want_t, want_x, want_theta, want_sol = loop_first_return(field, c, cfg)
+    sol = _first_return(field, c, cfg)[3]
+    assert same_array(sol.t, want_sol.t) and same_array(sol.y, want_sol.y)
+    assert all(same_array(a, b) for a, b in zip(sol.t_events, want_sol.t_events))
+    sample = return_map(field, c, cfg)
+    assert same_array(sample.p_of_c, want_x) and same_array(sample.theta_total, want_theta)
+    assert same_array(period(field, c, cfg).period, float(want_t))

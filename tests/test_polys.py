@@ -1,7 +1,12 @@
+import copy
+import math
+import pickle
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from centerfocus import (
     BiPoly,
@@ -16,7 +21,8 @@ from centerfocus import (
     poisson_bracket,
     to_complex,
 )
-from centerfocus.poly import ComplexCoeffs
+from centerfocus.poly import ComplexCoeffs, float_code
+from oracles import loop_evaluate
 
 fracs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
@@ -110,6 +116,70 @@ def test_poisson_bracket_antisymmetry():
 def test_evaluate():
     p = X**2 + 2 * X * Y
     assert evaluate(p, 1.5, -0.5) == pytest.approx(1.5**2 + 2 * 1.5 * -0.5)
+
+
+def same_bits(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# signed zeros, subnormals, and finite values up to 1e3 in magnitude
+coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e3, 1e3, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=True),
+)
+number_types = st.sampled_from([float, np.float64])
+wide_fracs = st.fractions(
+    min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
+)
+
+
+@st.composite
+def polys_up_to_degree_30(draw):
+    d = draw(st.integers(min_value=0, max_value=30))
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=d), st.integers(min_value=0, max_value=d)
+    ).filter(lambda k: k[0] + k[1] <= d)
+    return BiPoly(draw(st.dictionaries(keys, wide_fracs, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(polys_up_to_degree_30(), min_size=1, max_size=3),
+    coords, coords, number_types, number_types,
+)
+def test_float_code_matches_term_loop(polys, x, y, x_type, y_type):
+    x, y = x_type(x), y_type(y)
+    values = float_code(polys)(x, y)
+    assert len(values) == len(polys)
+    for p, v in zip(polys, values):
+        assert same_bits(v, loop_evaluate(p, x, y))
+        assert same_bits(evaluate(p, x, y), v)
+
+
+_rng = random.Random(5050)
+# every monomial of degree < 100: one flat sum would overflow the compiler's
+# recursion limit, so the kernel splits it into chunks
+FULL_DEGREE_99 = BiPoly({
+    (i, n - i): Fraction(_rng.randint(1, 9) * _rng.choice((-1, 1)), _rng.randint(1, 9))
+    for n in range(100)
+    for i in range(n + 1)
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords, coords, number_types)
+def test_float_code_matches_term_loop_5050_terms(x, y, number_type):
+    assert len(FULL_DEGREE_99) == 5050
+    x, y = number_type(x), number_type(y)
+    assert same_bits(evaluate(FULL_DEGREE_99, x, y), loop_evaluate(FULL_DEGREE_99, x, y))
+
+
+@pytest.mark.parametrize("p", [X**2 + 2 * X * Y - Fraction(1, 3), BiPoly()])
+def test_pickle_and_deepcopy_after_evaluate(p):
+    value = evaluate(p, 0.3, -0.7)  # fills the cached kernel
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p)
+        assert same_bits(evaluate(clone, 0.3, -0.7), value)
 
 
 @given(small_polys())
