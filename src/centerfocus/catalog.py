@@ -166,17 +166,24 @@ def _reqq(v: Params) -> CatalogEntry:
     return _entry("reqq", v, f, {"Reversible", "CenterCandidate"})
 
 
-_LOUD_Q = {
-    "loud1": {(0, 2): Fraction(1)},
-    "loud2": {(0, 2): Fraction(1, 2), (2, 0): Fraction(-1, 2)},
-    "loud3": {(0, 2): Fraction(1, 4)},
-    "loud4": {(0, 2): Fraction(2), (2, 0): Fraction(-1, 2)},
+# clockwise isochronous fixtures printed as (y + p_extra, -x + q_extra)
+_LOUD = {
+    "loud1": ({(1, 1): 1}, {(0, 2): 1}),
+    "loud2": ({(1, 1): 1}, {(0, 2): Fraction(1, 2), (2, 0): Fraction(-1, 2)}),
+    "loud3": ({(1, 1): 1}, {(0, 2): Fraction(1, 4)}),
+    "loud4": ({(1, 1): 1}, {(0, 2): 2, (2, 0): Fraction(-1, 2)}),
+}
+_RLOUD = {
+    "rloud_cubic1": ({(2, 1): 1}, {(1, 2): 1}),
+    "rloud_cubic2": ({(2, 1): -3, (0, 3): 1}, {(1, 2): -3, (3, 0): 1}),
+    "rloud_cubic3": ({(2, 1): 9, (0, 3): -2}, {(1, 2): 3}),
+    "rloud_cubic4": ({(2, 1): -9, (0, 3): 2}, {(1, 2): -3}),
 }
 
 
-def _loud(name: str) -> Callable[[Params], CatalogEntry]:
+def _loud(name: str, extra_p: dict, extra_q: dict) -> Callable[[Params], CatalogEntry]:
     def build(v: Params) -> CatalogEntry:
-        printed = (Y + BiPoly({(1, 1): 1}), -X + BiPoly(_LOUD_Q[name]))
+        printed = (Y + BiPoly(extra_p), -X + BiPoly(extra_q))
         f = PlanarField(p=-printed[0], q=-printed[1])
         return _entry(
             name, v, f, {"Isochronous", "CenterCandidate"},
@@ -257,27 +264,6 @@ def _cubic_qh(v: Params) -> CatalogEntry:
     cases = _cubic_center_sets(*coeffs)
     tags = {"CenterCandidate"} if cases else _focus_tags(f, 10)
     return _entry("cubic_qh", v, f, tags, extras={"cases": sorted(cases)})
-
-
-_RLOUD = {
-    "rloud_cubic1": ({(2, 1): 1}, {(1, 2): 1}),
-    "rloud_cubic2": ({(2, 1): -3, (0, 3): 1}, {(1, 2): -3, (3, 0): 1}),
-    "rloud_cubic3": ({(2, 1): 9, (0, 3): -2}, {(1, 2): 3}),
-    "rloud_cubic4": ({(2, 1): -9, (0, 3): 2}, {(1, 2): -3}),
-}
-
-
-def _rloud(name: str) -> Callable[[Params], CatalogEntry]:
-    def build(v: Params) -> CatalogEntry:
-        extra_p, extra_q = _RLOUD[name]
-        printed = (Y + BiPoly(extra_p), -X + BiPoly(extra_q))
-        f = PlanarField(p=-printed[0], q=-printed[1])
-        return _entry(
-            name, v, f, {"Isochronous", "CenterCandidate"},
-            orientation="clockwise", printed=printed,
-        )
-
-    return build
 
 
 def _quartic_uuu(v: Params) -> CatalogEntry:
@@ -371,8 +357,8 @@ _register(_schl1, "schl1", ("a", _Z), ("beta", _Z), ("lam", None))
 _register(_rgg, "rgg", ("lam4", _Z), ("lam5", _Z))
 _register(_req, "req", ("alpha", _Z), ("r", _Z), ("s", _Z))
 _register(_reqq, "reqq", ("b", _Z), ("c", _Z), ("beta", _Z))
-for _name in _LOUD_Q:
-    _register(_loud(_name), _name)
+for _name, _extras in _LOUD.items():
+    _register(_loud(_name, *_extras), _name)
 _register(
     _kukles, "kukles",
     ("alpha", _Z), ("beta", _Z), ("gamma", _Z), ("K", _Z), ("L", _Z), ("M", _Z), ("N", _Z),
@@ -383,8 +369,8 @@ _register(
     _cubic_qh, "cubic_qh",
     ("A", _Z), ("B", _Z), ("C", _Z), ("D", _Z), ("K", _Z), ("L", _Z), ("M", _Z), ("N", _Z),
 )
-for _name in _RLOUD:
-    _register(_rloud(_name), _name)
+for _name, _extras in _RLOUD.items():
+    _register(_loud(_name, *_extras), _name)
 _register(_quartic_uuu, "quartic_uuu")
 _register(_quartic_ttt, "quartic_ttt", ("a", Fraction(1)))
 _register(_quintic_ssss, "quintic_ssss")

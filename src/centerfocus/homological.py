@@ -37,6 +37,8 @@ from math import comb
 from .poly import (
     BiPoly,
     HomogeneousPoly,
+    X,
+    Y,
     circle_average,
     # not called here; perfbench's tracer patches these names on this module
     from_complex,
@@ -57,7 +59,7 @@ def apply_rotational(f: BiPoly | HomogeneousPoly) -> BiPoly:
     """D f = x f_y - y f_x."""
     if isinstance(f, HomogeneousPoly):
         f = f.inner
-    return BiPoly.monomial(1, 0) * f.diff_y() - BiPoly.monomial(0, 1) * f.diff_x()
+    return X * f.diff_y() - Y * f.diff_x()
 
 
 def solve_homological(

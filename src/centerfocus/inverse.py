@@ -16,7 +16,7 @@ from typing import Literal
 
 from .errors import DegreeMismatch, LambdaZero, PreconditionFailed, ZeroCurve
 from .lyapunov import H2, PlanarField, compute_lyapunov, _assemble_f
-from .poly import BiPoly, R2, poisson_bracket
+from .poly import BiPoly, R2, X, Y, poisson_bracket
 from .structure import weak_center_check
 
 
@@ -152,11 +152,9 @@ def weak_center_family(
     ):
         raise DegreeMismatch(f"multiplier must be homogeneous of degree {m - 1}")
     nu = Fraction(nu)
-    x_mono = BiPoly.monomial(1, 0)
-    y_mono = BiPoly.monomial(0, 1)
     scale = 1 + (1 - lam) * g_top
-    p = H2 * g_top.diff_y() * lam - y_mono * scale
-    q = H2 * g_top.diff_x() * (-lam) + x_mono * scale
+    p = H2 * g_top.diff_y() * lam - Y * scale
+    q = H2 * g_top.diff_x() * (-lam) + X * scale
     if nu:
         if m % 2 == 0:
             raise DegreeMismatch("the nu branch needs odd m")
@@ -239,7 +237,7 @@ def devlin_integral(field: PlanarField) -> tuple[BiPoly, BiPoly]:
         raise PreconditionFailed(f"needs mu = {2 * m}, found {wc and wc.mu}")
     xm = xs.get(m, BiPoly())
     ym = ys.get(m, BiPoly())
-    num = R2 + 2 * (BiPoly.monomial(1, 0) * ym - BiPoly.monomial(0, 1) * xm)
+    num = R2 + 2 * (X * ym - Y * xm)
     den = R2**m
     lhs = field.derivative_along(num) * R2
     rhs = num * field.derivative_along(R2) * m

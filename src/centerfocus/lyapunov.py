@@ -23,6 +23,8 @@ from .poly import (
     BiPoly,
     HomogeneousPoly,
     R2,
+    X,
+    Y,
     circle_average,  # called through this module: perfbench's tracer patches it here
     homogeneous_components,
 )
@@ -56,10 +58,7 @@ class PlanarField:
 
     def nonlinear(self) -> tuple[BiPoly, BiPoly]:
         """(X, Y) with the linear rotation removed."""
-        return (
-            self.p + BiPoly.monomial(0, 1),
-            self.q - BiPoly.monomial(1, 0),
-        )
+        return self.p + Y, self.q - X
 
     def nonlinear_slices(self) -> tuple[dict[int, BiPoly], dict[int, BiPoly]]:
         xs, ys = self.nonlinear()
@@ -94,7 +93,7 @@ class LyapunovResult:
         return f"{self.verdict}({self.verdict_index})"
 
 
-def _classify(v_list: Sequence[Fraction], order: int):
+def _classify(v_list: Sequence[Fraction]):
     for k, v in enumerate(v_list, start=1):
         if v:
             return ("StableFocus" if v < 0 else "UnstableFocus"), k
@@ -159,7 +158,7 @@ def _recursion(
             if n == order + 2:
                 break
             h[n] = solve_homological(HomogeneousPoly(n, -f_n)).f.inner
-    verdict, idx = _classify(v_list, order)
+    verdict, idx = _classify(v_list)
     return LyapunovResult(
         order=order,
         h_list=tuple(HomogeneousPoly(n, h[n]) for n in range(3, order + 2)),

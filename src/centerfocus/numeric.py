@@ -248,7 +248,10 @@ def find_equilibria(
             x, y = float(xs), float(ys)
             ok = False
             for _ in range(60):
-                fx, fy, a, b, cc, d = kernel(x, y)
+                try:
+                    fx, fy, a, b, cc, d = kernel(x, y)
+                except OverflowError:  # the seed diverged
+                    break
                 if abs(fx) < 1e-13 and abs(fy) < 1e-13:
                     ok = True
                     break

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonRealInput
@@ -52,10 +53,6 @@ class BiPoly:
         self._terms = clean
 
     # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
 
     @staticmethod
     def monomial(i: int, j: int, c: Scalar = 1) -> "BiPoly":
@@ -245,12 +242,6 @@ class HomogeneousPoly:
                     f"term x^{i} y^{j} breaks homogeneity of degree {self.degree}"
                 )
 
-    @staticmethod
-    def of(p: BiPoly, degree: int | None = None) -> "HomogeneousPoly":
-        if degree is None:
-            degree = max(p.degree(), 0)
-        return HomogeneousPoly(degree, p)
-
 
 def homogeneous_components(p: BiPoly) -> list[HomogeneousPoly]:
     """Split into homogeneous pieces, zero components omitted, degree ascending."""
@@ -364,23 +355,9 @@ def evaluate(p: BiPoly, x: float, y: float) -> float:
 # x = (z + zbar)/2, y = (z - zbar)/(2i). A real polynomial becomes a map
 # (k, l) -> coefficient of z^k zbar^l, with entries[(k,l)] the conjugate of
 # entries[(l,k)]. Coefficients are Gaussian rationals held as (re, im) pairs.
+# Library API only: the engine works in the real basis throughout.
 
 CPair = tuple[Fraction, Fraction]
-
-
-def _cadd(a: CPair, b: CPair) -> CPair:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a: CPair, b: CPair) -> CPair:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cpow(a: CPair, n: int) -> CPair:
-    out: CPair = (Fraction(1), Fraction(0))
-    for _ in range(n):
-        out = _cmul(out, a)
-    return out
 
 
 @dataclass
@@ -402,49 +379,53 @@ class ComplexCoeffs:
         return True
 
 
-def _binomial(n: int, k: int) -> int:
-    result = 1
-    for t in range(k):
-        result = result * (n - t) // (t + 1)
-    return result
+# U = (z + zbar)/2 and W = (z - zbar)/2 as polynomials in (z, zbar), so that
+# x = U and y = -i W
+_U = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+_W = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)})
 
 
 def to_complex(p: BiPoly) -> ComplexCoeffs:
-    """Rewrite p(x, y) in the z, zbar monomial basis."""
-    entries: dict[tuple[int, int], CPair] = {}
-    half = Fraction(1, 2)
-    minus_half_i: CPair = (Fraction(0), -half)  # 1/(2i)
+    """Rewrite p(x, y) in the z, zbar monomial basis.
+
+    x^a y^b = (-i)^b U^a W^b: real for even b, imaginary for odd b.
+    """
+    us, ws = [BiPoly.constant(1)], [BiPoly.constant(1)]
+    for _ in range(p.degree()):
+        us.append(us[-1] * _U)
+        ws.append(ws[-1] * _W)
+    parts = [BiPoly(), BiPoly()]  # real, imaginary
     for (a, b), c in p._terms.items():
-        # ((z + zbar)/2)^a ((z - zbar)/(2i))^b
-        scale = _cmul((half**a * c, Fraction(0)), _cpow(minus_half_i, b))
-        for s in range(a + 1):
-            ca = _binomial(a, s)
-            for t in range(b + 1):
-                sign = -1 if (b - t) % 2 else 1
-                w = ca * _binomial(b, t) * sign
-                key = (s + t, (a - s) + (b - t))
-                add = _cmul(scale, (Fraction(w), Fraction(0)))
-                entries[key] = _cadd(entries.get(key, (Fraction(0), Fraction(0))), add)
-    return ComplexCoeffs(entries)
+        parts[b % 2] = parts[b % 2] + us[a] * ws[b] * (c * (1, -1, -1, 1)[b % 4])
+    re, im = parts
+    keys = re._terms.keys() | im._terms.keys()
+    return ComplexCoeffs({key: (re.coeff(*key), im.coeff(*key)) for key in keys})
+
+
+def _x_plus_iy(n: int) -> tuple[BiPoly, BiPoly]:
+    """Real and imaginary parts of (x + iy)^n."""
+    parts: tuple[dict, dict] = ({}, {})
+    for s in range(n + 1):
+        parts[s % 2][(n - s, s)] = comb(n, s) * (-1) ** (s // 2)
+    return BiPoly(parts[0]), BiPoly(parts[1])
 
 
 def from_complex(c: ComplexCoeffs) -> BiPoly:
-    """Inverse transform; raises NonRealInput if the result is not real."""
-    real: dict[tuple[int, int], Fraction] = {}
-    imag: dict[tuple[int, int], Fraction] = {}
-    i_unit: CPair = (Fraction(0), Fraction(1))
-    for (k, l), coeff in c.entries.items():
-        # (x + iy)^k (x - iy)^l expanded over Gaussian rationals
-        for s in range(k + 1):
-            ws = _cmul(_cpow(i_unit, s), (Fraction(_binomial(k, s)), Fraction(0)))
-            for t in range(l + 1):
-                sign = -1 if t % 2 else 1
-                wt = _cmul(_cpow(i_unit, t), (Fraction(sign * _binomial(l, t)), Fraction(0)))
-                w = _cmul(coeff, _cmul(ws, wt))
-                key = ((k - s) + (l - t), s + t)
-                real[key] = real.get(key, Fraction(0)) + w[0]
-                imag[key] = imag.get(key, Fraction(0)) + w[1]
-    for key, v in imag.items():
-        if v:
-            raise NonRealInput(f"imaginary residue {v} at monomial {key}")
-    return BiPoly(real)
+    """Inverse transform; raises NonRealInput if the result is not real.
+
+    z^k zbar^l = (x^2 + y^2)^min(k, l) (x +- iy)^|k - l|, with the sign
+    of k - l.
+    """
+    real = BiPoly()
+    imag = BiPoly()
+    for (k, l), (cre, cim) in c.entries.items():
+        a, b = _x_plus_iy(abs(k - l))
+        if l > k:
+            b = -b
+        radial = R2 ** min(k, l)
+        real = real + radial * (a * cre - b * cim)
+        imag = imag + radial * (b * cre + a * cim)
+    if imag:
+        key, v = next(imag.terms())
+        raise NonRealInput(f"imaginary residue {v} at monomial {key}")
+    return real

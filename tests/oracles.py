@@ -2,10 +2,12 @@
 
 The rotational equation has two references: dense Gaussian elimination
 over Fraction, and the complex-basis solve, which divides termwise in
-z, zbar where the operator is diagonal. The constant recursion
-is rerun in sympy with per-degree linear solves. Float evaluation and
-the float oracle's integrations are rerun with the plain term loop on
-NumPy scalars, the evaluator the compiled kernels must match bit for bit.
+z, zbar where the operator is diagonal. The axis-reversibility flags
+are re-read from the z, zbar coefficients of the field. The constant
+recursion is rerun in sympy with per-degree linear solves. Float
+evaluation and the float oracle's integrations are rerun with the plain
+term loop on NumPy scalars, the evaluator the compiled kernels must
+match bit for bit.
 """
 
 import math
@@ -129,6 +131,37 @@ def complex_rotational_solve(g, gauge=0):
     if n % 2 and k_const != 0:
         raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
     return f, k_const
+
+
+def complex_reversibility(field):
+    """(rev_x_axis, rev_y_axis) from the z-zbar coefficients.
+
+    Reversibility is read off the z-zbar coefficients a_nk of
+    z' = iz + sum a_nk z^n zbar^k: invariance under (x,-y,-t) means
+    every a_nk is purely imaginary; invariance under (-x,y,-t) means
+    a_nk = (-1)^(n+k) conj(a_nk).
+    """
+    xs, ys = field.nonlinear()
+    p_cc = to_complex(xs)
+    q_cc = to_complex(ys)
+    a: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    for key, (re, im) in p_cc.entries.items():
+        a[key] = (re, im)
+    for key, (re, im) in q_cc.entries.items():
+        pre, pim = a.get(key, (Fraction(0), Fraction(0)))
+        a[key] = (pre - im, pim + re)  # add i * (re + i im)
+    rev_x = all(re == 0 for re, _ in a.values())
+    rev_y = True
+    for (n, k), (re, im) in a.items():
+        if (n + k) % 2 == 0:
+            if im != 0:
+                rev_y = False
+                break
+        else:
+            if re != 0:
+                rev_y = False
+                break
+    return rev_x, rev_y
 
 
 _X, _Y = sp.symbols("x y")

@@ -87,6 +87,14 @@ def test_find_equilibria_quartic():
     assert any(abs(x + 1.0) < 1e-6 and abs(y) < 1e-6 for x, y in found)
 
 
+def test_find_equilibria_skips_overflowing_seeds():
+    # x' = -y + x^40, y' = x + y^40: Newton starts that run off in y
+    # overflow y**40 and must be dropped like a singular Jacobian
+    found = find_equilibria(nl_field({(40, 0): 1}, {(0, 40): 1}))
+    assert any(abs(x) < 1e-10 and abs(y) < 1e-10 for x, y in found)
+    assert any(abs(x + 1.0) < 1e-10 and abs(y - 1.0) < 1e-10 for x, y in found)
+
+
 def test_classify_center_like():
     verdict = numeric_classify(get("loud1").field, (0.05, 0.1, 0.2))
     assert isinstance(verdict, CenterLike)

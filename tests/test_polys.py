@@ -14,6 +14,7 @@ from centerfocus import (
     R2,
     X,
     Y,
+    apply_rotational,
     circle_average,
     evaluate,
     from_complex,
@@ -196,3 +197,21 @@ def test_from_complex_rejects_non_real():
     bad = ComplexCoeffs({(1, 0): (Fraction(0), Fraction(1))})
     with pytest.raises(NonRealInput):
         from_complex(bad)
+
+
+def test_complex_convention_pinned():
+    # x = (z + zbar)/2 and y = (z - zbar)/(2i); a round trip cannot tell
+    # this from its conjugate
+    half = Fraction(1, 2)
+    assert to_complex(X).entries == {(1, 0): (half, 0), (0, 1): (half, 0)}
+    assert to_complex(Y).entries == {(1, 0): (0, -half), (0, 1): (0, half)}
+
+
+@given(small_polys())
+def test_rotational_operator_is_diagonal_in_complex_basis(p):
+    # D (z^k zbar^l) = i (k - l) z^k zbar^l
+    expected = ComplexCoeffs({
+        (k, l): (-(k - l) * im, (k - l) * re)
+        for (k, l), (re, im) in to_complex(p).entries.items()
+    })
+    assert to_complex(apply_rotational(p)).entries == expected.entries

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import centerfocus
 from centerfocus import (
@@ -20,6 +21,7 @@ from centerfocus import (
     weak_center_family,
 )
 from helpers import bautin_field, nl_field, rand_frac
+from oracles import complex_reversibility
 
 
 def test_hg_decompose_reconstructs_quadratic():
@@ -147,6 +149,16 @@ class TestSymmetries:
             rep = detect_symmetries(nl_field(p_terms, q_terms))
             assert rep.rev_y_axis
 
+    def test_x_axis_negative(self):
+        # X = y^2 and Y = xy are reversible for the y axis only
+        rep = detect_symmetries(nl_field({(0, 2): 1}, {(1, 1): 1}))
+        assert rep.rev_y_axis and not rep.rev_x_axis
+
+    def test_y_axis_negative(self):
+        # X = xy and Y = x^2 are reversible for the x axis only
+        rep = detect_symmetries(nl_field({(1, 1): 1}, {(2, 0): 1}))
+        assert rep.rev_x_axis and not rep.rev_y_axis
+
     def test_generic_field_has_none(self):
         rep = detect_symmetries(bautin_field(1, 2, 3, 4, 5))
         assert not any(
@@ -164,6 +176,45 @@ class TestSymmetries:
         field = nl_field({(0, 2): -3}, {})  # H = (x^2+y^2)/2 + y^3
         rep = detect_symmetries(field)
         assert rep.hamiltonian
+
+
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+# axis -> (exponent index, parity a term of X needs, parity a term of Y needs)
+_PARITY_RULES = {"x": (1, 1, 0), "y": (0, 0, 1)}
+
+
+@st.composite
+def symmetry_fields(draw):
+    """Fields of degree 2-5: a third generic, a third built reversible
+    for each axis, half of the latter with exactly one parity broken."""
+    degree = draw(st.integers(min_value=2, max_value=5))
+    axis = draw(st.sampled_from([None, "x", "y"]))
+    monos = [(i, n - i) for n in range(2, degree + 1) for i in range(n + 1)]
+
+    def allowed(key, comp):
+        if axis is None:
+            return True
+        index, *parity = _PARITY_RULES[axis]
+        return key[index] % 2 == parity[comp]
+
+    terms = ({}, {})
+    for comp in (0, 1):
+        for key in monos:
+            if allowed(key, comp) and draw(st.booleans()):
+                terms[comp][key] = draw(_COEFFS)
+    if axis is not None and draw(st.booleans()):
+        comp = draw(st.sampled_from([0, 1]))
+        key = draw(st.sampled_from([k for k in monos if not allowed(k, comp)]))
+        terms[comp][key] = draw(_COEFFS.filter(bool))
+    return nl_field(*terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetry_fields())
+def test_reversibility_parity_matches_complex_criterion(field):
+    rep = detect_symmetries(field)
+    assert (rep.rev_x_axis, rep.rev_y_axis) == complex_reversibility(field)
 
 
 def test_bautin_cases_all_zero():
