@@ -6,6 +6,18 @@ hunting, and a center/focus hint from displacement signs. Everything
 here is approximate by nature; exact claims live in the symbolic
 modules and the two are compared, never reconciled silently.
 
+``numeric_classify`` has two routes to the displacements of a grid.
+The batched one integrates the whole grid at once in the angle theta,
+from 0 to 2 pi, with DOP853. Its deltas agree with the per-sample route
+to about 1e-13, so they decide the verdict only when no displacement
+lies within a guard band of the tolerance and their signs agree. In
+every other case, the batch failing, stalling or overrunning the time
+budget included, the grid is measured again by the per-sample route,
+one time-parametrized ``return_map`` per point, whose verdict, error
+and message are then the reported ones. ``return_map``, ``period`` and
+``integrate`` stay time-parametrized (RK45), so their printed floats do
+not move.
+
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
 state: the values are bit for bit those of the plain term loop, so
@@ -37,6 +49,11 @@ from .lyapunov import PlanarField
 from .poly import float_code
 
 TWO_PI = 2.0 * math.pi
+# a batched delta within GUARD_REL * tol + GUARD_ABS of tol is measured
+# again on the per-sample route: the two routes agree to about 1e-13,
+# not bit for bit, so near tol they could fall on different sides
+GUARD_REL = 0.5
+GUARD_ABS = 1e-11
 
 
 @dataclass(frozen=True)
@@ -279,18 +296,112 @@ def find_equilibria(
     return found
 
 
+def _grid_deltas(
+    field: PlanarField, c_grid: Sequence[float], cfg: IntegratorConfig
+) -> list[float] | None:
+    """delta(c) = P(c) - c for the whole grid from one integration in theta.
+
+    The state is (r_1..r_N, t_1..t_N), carried from theta = 0 to 2 pi with
+    dr/dtheta = r (x p + y q) / (x q - y p) and dt/dtheta = r^2 / (x q - y p)
+    at x = r cos theta, y = r sin theta, so r_i(2 pi) is the first return
+    of c_i to the positive x-axis and t_i(2 pi) its return time (Hairer,
+    Norsett & Wanner, Solving ODEs I: change of the independent
+    variable). It shares ``_first_return``'s (p, q) kernel and tolerances;
+    ``max_step`` bounds the theta step, which is the time step near the
+    origin. Returns None when the batch cannot vouch for every sample:
+    some c is not a positive finite float, the integration failed, x q - y p fell to zero (the stall event), the field
+    left the float range, or some r(2 pi) is not a positive float or some
+    return time lies outside (0, cfg.max_time].
+    """
+    if not all(0.0 < c < math.inf for c in c_grid):
+        return None
+    n = len(c_grid)
+    pq = float_code((field.p, field.q))
+    cos, sin = math.cos, math.sin
+
+    def rhs(theta, s):
+        ct, st = cos(theta), sin(theta)
+        vals = s.tolist()
+        out = [0.0] * (2 * n)
+        for i in range(n):
+            r = vals[i]
+            x, y = r * ct, r * st
+            px, qx = pq(x, y)
+            den = x * qx - y * px
+            out[i] = r * (x * px + y * qx) / den
+            out[n + i] = r * r / den
+        return out
+
+    def stalled(theta, s):
+        ct, st = cos(theta), sin(theta)
+        least = math.inf
+        for r in s[:n].tolist():
+            x, y = r * ct, r * st
+            px, qx = pq(x, y)
+            least = min(least, x * qx - y * px)
+        return least
+
+    stalled.terminal = True
+    stalled.direction = -1.0
+
+    try:
+        sol = solve_ivp(
+            rhs,
+            (0.0, TWO_PI),
+            np.array([float(c) for c in c_grid] + [0.0] * n),
+            method="DOP853",
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            max_step=cfg.max_step,
+            events=(stalled,),
+        )
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if sol.status != 0:  # 1: the stall event ended it; -1: step failure
+        return None
+    end = sol.y[:, -1].tolist()
+    r_end, t_end = end[:n], end[n:]
+    if not all(map(math.isfinite, end)) or min(r_end) <= 0.0:
+        return None
+    if not all(0.0 < t <= cfg.max_time for t in t_end):
+        return None
+    return [r - c for r, c in zip(r_end, c_grid)]
+
+
+def _batch_decides(deltas: list[float], tol: float) -> bool:
+    """Whether the batched deltas give the verdict the per-sample route
+    would: no |delta| near tol, and one sign among those above it."""
+    band = GUARD_REL * tol + GUARD_ABS
+    if any(abs(abs(d) - tol) <= band for d in deltas):
+        return False
+    return len({d > 0 for d in deltas if abs(d) >= tol}) <= 1
+
+
 def numeric_classify(
     field: PlanarField,
     c_grid: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
     tol: float | None = None,
 ) -> CenterLike | FocusLike:
-    """Displacement-sign hint over a grid of section abscissas."""
+    """Displacement-sign hint over a grid of section abscissas.
+
+    CenterLike when every |delta(c)| is below tol (default 1e-9 max c),
+    else FocusLike with the common sign of the |delta| >= tol;
+    ``Inconsistent`` when those signs disagree. The deltas come from one
+    batched integration in theta (``_grid_deltas``). They are used only
+    when the batch succeeded and decides the verdict by a margin: no
+    |delta| within GUARD_REL * tol + GUARD_ABS of tol, and one sign among
+    the |delta| >= tol. In every other case, including every error, the
+    grid is measured again with one ``return_map`` per point, whose
+    deltas, errors and messages are the reported ones.
+    """
     if not c_grid:
         raise PreconditionFailed("empty sample grid")
     if tol is None:
         tol = 1e-9 * max(c_grid)
-    deltas = [return_map(field, c, cfg).delta for c in c_grid]
+    deltas = _grid_deltas(field, c_grid, cfg)
+    if deltas is None or not _batch_decides(deltas, tol):
+        deltas = [return_map(field, c, cfg).delta for c in c_grid]
     if max(abs(d) for d in deltas) < tol:
         return CenterLike(tol=tol)
     signs = {1 if d > 0 else -1 for d in deltas if abs(d) >= tol}

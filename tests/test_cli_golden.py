@@ -2,7 +2,10 @@
 
 `tests/data/cli_golden.json` holds the exit code, stdout and stderr of
 every invocation in CASES as the engine printed them at commit 118bc59,
-before the command handlers shared one report-and-print path. The input
+before the command handlers shared one report-and-print path;
+``classify-stalled`` and ``classify-straddle`` were taken at commit
+0c8dca5, before ``numeric_classify`` integrated its grid in one batch,
+when every grid point still had its own return map. The input
 documents live in `tests/data/cli/`; each case runs in a copy of that
 directory so the relative paths echoed into the reports stay the same.
 The stored bytes are the reference: when a case differs, the CLI changed.
@@ -26,6 +29,11 @@ CASES = {
     "classify-disagree": ["classify", "--input", "tiny.json"],
     "classify-obstructed": ["classify", "--input", "obstructed.json"],
     "classify-two": ["classify", "--input", "bautin.json", "radial.json", "--c", "0.05,0.1"],
+    # two ends that the batched grid integration hands to one return map
+    # per point: theta' vanishing on the orbit through 0.6, and a limit
+    # cycle at r = 1/2 between the two section points
+    "classify-stalled": ["classify", "--input", "stalled.json", "--c", "0.05,0.6"],
+    "classify-straddle": ["classify", "--input", "straddle.json", "--c", "0.2,0.8"],
     "inverse-ham": ["inverse", "--spec", "ham.json", "--check-order", "8"],
     "inverse-m3": ["inverse", "--spec", "spec3.json", "--check-order", "6"],
     "darboux-plain": ["darboux", "--input", "uniso.json", "--curve", "line.json"],

@@ -17,15 +17,29 @@ from centerfocus import (
     get,
     integrate,
     list_families,
+    numeric,
     numeric_classify,
     period,
     return_map,
     write_csv,
 )
-from centerfocus.errors import Inconsistent, PreconditionFailed, TimeBudgetExceeded
+from centerfocus.errors import (
+    AngleStalled,
+    CenterFocusError,
+    Inconsistent,
+    PreconditionFailed,
+    TimeBudgetExceeded,
+)
 from centerfocus.lyapunov import H2
-from centerfocus.numeric import _first_return
-from helpers import SAMPLE_PARAMS, nl_field, radial_cubic, rand_frac
+from centerfocus.numeric import _batch_decides, _first_return, _grid_deltas
+from helpers import (
+    SAMPLE_PARAMS,
+    bautin_field,
+    cubic_field,
+    nl_field,
+    radial_cubic,
+    rand_frac,
+)
 from oracles import loop_first_return, loop_integrate
 
 TWO_PI = 2.0 * math.pi
@@ -110,14 +124,17 @@ def test_classify_rejects_empty_grid():
         numeric_classify(radial_cubic(), ())
 
 
-def test_classify_limit_cycle_straddle_inconsistent():
+def straddle_field():
     # r' = r^3 (1 - 4 r^2): cycle at r = 1/2, displacement flips sign across it
-    field = nl_field(
+    return nl_field(
         {(3, 0): 1, (1, 2): 1, (5, 0): -4, (3, 2): -8, (1, 4): -4},
         {(2, 1): 1, (0, 3): 1, (4, 1): -4, (2, 3): -8, (0, 5): -4},
     )
+
+
+def test_classify_limit_cycle_straddle_inconsistent():
     with pytest.raises(Inconsistent):
-        numeric_classify(field, (0.2, 0.8))
+        numeric_classify(straddle_field(), (0.2, 0.8))
 
 
 def test_write_csv_round_trip(tmp_path):
@@ -178,3 +195,127 @@ def test_float_oracle_matches_term_loop_bitwise(make_field):
     sample = return_map(field, c, cfg)
     assert same_array(sample.p_of_c, want_x) and same_array(sample.theta_total, want_theta)
     assert same_array(period(field, c, cfg).period, float(want_t))
+
+
+# -- the batched grid route of numeric_classify ----------------------------------
+
+GRID = (0.05, 0.1, 0.2)
+
+
+def seeded_focus_field(kind, seed):
+    rng = random.Random(seed)
+    if kind == "bautin":
+        return bautin_field(*(Fraction(rng.randint(-3, 3), 4) for _ in range(5)))
+    return cubic_field(*(Fraction(rng.randint(-3, 3), 4) for _ in range(8)))
+
+
+GRID_FIELDS = DIFFERENTIAL_FIELDS + [
+    pytest.param(lambda kind=kind, seed=seed: seeded_focus_field(kind, seed), id=f"{kind}-{seed}")
+    for kind in ("bautin", "cubic")
+    for seed in (1, 2, 3, 4)
+]
+
+
+def outcome(call):
+    """The verdict of call(), or the type and message of its error."""
+    try:
+        return call()
+    except CenterFocusError as exc:
+        return type(exc), str(exc)
+
+
+def per_sample_outcome(monkeypatch, field, c_grid, cfg=IntegratorConfig(), tol=None):
+    """numeric_classify with the batch declining: one return map per point."""
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_grid_deltas", lambda *args: None)
+        return outcome(lambda: numeric_classify(field, c_grid, cfg, tol))
+
+
+def count_return_maps(monkeypatch):
+    calls = []
+    original = numeric.return_map
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(numeric, "return_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make_field", GRID_FIELDS)
+def test_grid_deltas_match_return_map(make_field, monkeypatch):
+    field = make_field()
+    batch = _grid_deltas(field, GRID, IntegratorConfig())
+    try:
+        single = [return_map(field, c).delta for c in GRID]
+    except AngleStalled:  # hamiltonian-11 and -13 stall at c = 0.2
+        assert batch is None
+    else:
+        assert max(abs(a - b) for a, b in zip(batch, single)) < 1e-11
+    calls = count_return_maps(monkeypatch)
+    got = outcome(lambda: numeric_classify(field, GRID))
+    # quintic_ssss's |delta(0.2)| = 2.7e-10 lies in the guard band of tol
+    assert (calls == []) == (batch is not None and _batch_decides(batch, 1e-9 * max(GRID)))
+    assert got == per_sample_outcome(monkeypatch, field, GRID)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 5), Fraction(-1, 5)])
+def test_grid_deltas_radial_closed_form(a):
+    # x' = -y + a x r^2, y' = x + a y r^2: r' = a r^3, one turn takes 2 pi,
+    # so P(c) = c / sqrt(1 - 4 pi a c^2)
+    field = nl_field({(3, 0): a, (1, 2): a}, {(2, 1): a, (0, 3): a})
+    deltas = _grid_deltas(field, GRID, IntegratorConfig())
+    for c, d in zip(GRID, deltas):
+        truth = c / math.sqrt(1.0 - 4.0 * math.pi * float(a) * c * c)
+        assert abs((c + d) - truth) <= 1e-11 * truth
+
+
+FALLBACKS = [
+    pytest.param(
+        nl_field({}, {(2, 0): 1}), (0.05, 0.6), IntegratorConfig(),
+        (AngleStalled, "theta' vanished at t = 3.44004"), id="stalled",
+    ),
+    pytest.param(
+        straddle_field(), (0.2, 0.8), IntegratorConfig(), None, id="straddle",
+    ),
+    pytest.param(
+        harmonic(), GRID, IntegratorConfig(max_time=1.0),
+        (TimeBudgetExceeded, "no return within t = 1.0"), id="time-budget",
+    ),
+    pytest.param(
+        harmonic(), (-0.1, 0.1), IntegratorConfig(),
+        (PreconditionFailed, "section abscissa must be positive"), id="negative-c",
+    ),
+    pytest.param(
+        harmonic(), (0.0, 0.1), IntegratorConfig(),
+        (PreconditionFailed, "section abscissa must be positive"), id="zero-c",
+    ),
+]
+
+
+@pytest.mark.parametrize("field, c_grid, cfg, want", FALLBACKS)
+def test_batch_declines_and_per_sample_route_reports(field, c_grid, cfg, want, monkeypatch):
+    if want is None:  # Inconsistent, with the per-sample deltas in the message
+        deltas = [return_map(field, c, cfg).delta for c in c_grid]
+        want = (Inconsistent, f"displacement signs disagree: {deltas}")
+    batch = _grid_deltas(field, c_grid, cfg)
+    assert batch is None or not _batch_decides(batch, 1e-9 * max(c_grid))
+    assert outcome(lambda: numeric_classify(field, c_grid, cfg)) == want
+    assert per_sample_outcome(monkeypatch, field, c_grid, cfg) == want
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_grid_deltas_decline_nonfinite_abscissas(c):
+    # left to the per-sample route, whatever it makes of them
+    assert _grid_deltas(harmonic(), (0.1, c), IntegratorConfig()) is None
+
+
+def test_tol_in_guard_band_uses_return_map(monkeypatch):
+    field = radial_cubic()
+    batch = _grid_deltas(field, GRID, IntegratorConfig())
+    tol = 0.8 * abs(batch[0])  # |delta(0.05)| lies within tol / 2 of tol
+    assert not _batch_decides(batch, tol)
+    calls = count_return_maps(monkeypatch)
+    assert numeric_classify(field, GRID, tol=tol) == FocusLike(sign=1)
+    assert calls == list(GRID)
