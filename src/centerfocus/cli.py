@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -261,6 +262,8 @@ def _c_list(raw: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"bad abscissa {piece!r}") from None
         if val <= 0:
             raise argparse.ArgumentTypeError("section abscissas must be positive")
+        if not math.isfinite(val):
+            raise argparse.ArgumentTypeError("section abscissas must be finite")
         out.append(val)
     if not out:
         raise argparse.ArgumentTypeError("empty abscissa list")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 from .errors import NonNormalizedLinearPart, OrderTooSmall
-from .homological import radial_power, solve_homological
+from .homological import solve_homological
 from .poly import (
     BiPoly,
     HomogeneousPoly,
@@ -129,35 +129,26 @@ def _recursion(
     """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree.
 
     `source(n, h)` gives the degree-n slice f_n of dV/dt from the known
-    H_j (j < n). Odd n solves D H_n = -f_n; even n reads V = avg(f_n)
-    and solves D H_n = V (x^2+y^2)^(n/2) - f_n, stopping after the
-    constant of slice order+2.
+    H_j (j < n). Each n solves D H_n = -f_n up to the resonant part
+    k_const (x^2+y^2)^(n/2) that `solve_homological` splits off, so the
+    slice D H_n + f_n is -k_const (x^2+y^2)^(n/2): zero for odd n, and
+    V_{n/2-1} = -k_const for even n. An even order reads its last
+    constant from the circle average of slice order+2 alone.
     """
     if order < 2:
         raise OrderTooSmall(f"order {order} < 2")
     gauges = gauges or {}
     h: dict[int, BiPoly] = {2: H2}
     v_list: list[Fraction] = []
-    for n in range(3, order + 3):
-        f_n = source(n, h)
+    for n in range(3, order + 2):
+        sol = solve_homological(
+            HomogeneousPoly(n, -source(n, h)), gauge=gauges.get(n, 0)
+        )
+        h[n] = sol.f.inner
         if n % 2 == 0:
-            v = circle_average(f_n)
-            v_list.append(v)
-            if n == order + 2:
-                break
-            rhs = radial_power(n) * v - f_n
-            sol = solve_homological(
-                HomogeneousPoly(n, rhs), gauge=gauges.get(n, Fraction(0))
-            )
-            if sol.k_const != 0:
-                raise AssertionError(
-                    f"degree {n}: the average was removed but k_const = {sol.k_const}"
-                )
-            h[n] = sol.f.inner
-        else:
-            if n == order + 2:
-                break
-            h[n] = solve_homological(HomogeneousPoly(n, -f_n)).f.inner
+            v_list.append(-sol.k_const)
+    if order % 2 == 0:
+        v_list.append(circle_average(source(order + 2, h)))
     verdict, idx = _classify(v_list)
     return LyapunovResult(
         order=order,
@@ -173,11 +164,13 @@ def compute_lyapunov(
     order: int,
     gauges: dict[int, Fraction] | None = None,
 ) -> LyapunovResult:
-    """Run the recursion through degree slices 3..order+2.
+    """Run the recursion through degree slices 3..order+1, plus slice
+    order+2 for an even order.
 
-    H_n is solved for n <= order+1; the final even slice contributes its
-    constant only. `gauges` optionally injects kernel coefficients for
-    the even-degree solves (degree -> coefficient), default all zero.
+    H_n is solved for n <= order+1; an even order's final slice
+    order+2 contributes its constant only. `gauges` optionally injects
+    kernel coefficients for the even-degree solves (degree ->
+    coefficient), default all zero.
     """
     xs, ys = field.nonlinear_slices()
     return _recursion(order, lambda n, h: _assemble_f(n, h, xs, ys), gauges)

@@ -11,12 +11,14 @@ The batched one integrates the whole grid at once in the angle theta,
 from 0 to 2 pi, with DOP853. Its deltas agree with the per-sample route
 to about 1e-13, so they decide the verdict only when no displacement
 lies within a guard band of the tolerance and their signs agree. In
-every other case, the batch failing, stalling or overrunning the time
-budget included, the grid is measured again by the per-sample route,
-one time-parametrized ``return_map`` per point, whose verdict, error
-and message are then the reported ones. ``return_map``, ``period`` and
-``integrate`` stay time-parametrized (RK45), so their printed floats do
-not move.
+every other case, the batch failing (a stalling angle ends it in a
+step-size failure) or overrunning the time budget included, the grid
+is measured again by the per-sample route, one time-parametrized
+``return_map`` per point, whose verdict, error and message are then
+the reported ones. ``return_map``, ``period`` and ``integrate`` stay
+time-parametrized (RK45), so their printed floats do not move. A
+section abscissa that is not a positive finite float ends in
+``PreconditionFailed``.
 
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
@@ -60,7 +62,6 @@ GUARD_ABS = 1e-11
 class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
-    max_step: float = math.inf
     max_time: float = 1e4
 
     def __post_init__(self):
@@ -142,7 +143,6 @@ def integrate(
             method="RK45",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            max_step=cfg.max_step,
             dense_output=False,
         )
     if not sol.success:
@@ -166,6 +166,8 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     """
     if c <= 0:
         raise PreconditionFailed("section abscissa must be positive")
+    if not math.isfinite(c):
+        raise PreconditionFailed("section abscissa must be finite")
     pq = float_code((field.p, field.q))
 
     def rhs(_t, s):
@@ -195,7 +197,6 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
             method="RK45",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            max_step=cfg.max_step,
             dense_output=True,
             events=(turn_done, stalled),
         )
@@ -306,12 +307,13 @@ def _grid_deltas(
     at x = r cos theta, y = r sin theta, so r_i(2 pi) is the first return
     of c_i to the positive x-axis and t_i(2 pi) its return time (Hairer,
     Norsett & Wanner, Solving ODEs I: change of the independent
-    variable). It shares ``_first_return``'s (p, q) kernel and tolerances;
-    ``max_step`` bounds the theta step, which is the time step near the
-    origin. Returns None when the batch cannot vouch for every sample:
-    some c is not a positive finite float, the integration failed, x q - y p fell to zero (the stall event), the field
-    left the float range, or some r(2 pi) is not a positive float or some
-    return time lies outside (0, cfg.max_time].
+    variable). It shares ``_first_return``'s (p, q) kernel and tolerances.
+    Returns None when the batch cannot vouch for every sample: some c is
+    not a positive finite float, the integration failed (where the angle
+    stalls, x q - y p -> 0 drives dr/dtheta without bound and the step
+    size collapses), the field left the float range, or some r(2 pi) is
+    not a positive float or some return time lies outside
+    (0, cfg.max_time].
     """
     if not all(0.0 < c < math.inf for c in c_grid):
         return None
@@ -332,18 +334,6 @@ def _grid_deltas(
             out[n + i] = r * r / den
         return out
 
-    def stalled(theta, s):
-        ct, st = cos(theta), sin(theta)
-        least = math.inf
-        for r in s[:n].tolist():
-            x, y = r * ct, r * st
-            px, qx = pq(x, y)
-            least = min(least, x * qx - y * px)
-        return least
-
-    stalled.terminal = True
-    stalled.direction = -1.0
-
     try:
         sol = solve_ivp(
             rhs,
@@ -352,12 +342,10 @@ def _grid_deltas(
             method="DOP853",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            events=(stalled,),
         )
     except (OverflowError, ZeroDivisionError):
         return None
-    if sol.status != 0:  # 1: the stall event ended it; -1: step failure
+    if sol.status != 0:  # -1: step failure, e.g. where x q - y p reaches 0
         return None
     end = sol.y[:, -1].tolist()
     r_end, t_end = end[:n], end[n:]

@@ -39,21 +39,21 @@ class HGDecomposition:
 def hg_decompose(field: PlanarField) -> HGDecomposition:
     """Split the nonlinear part into a gradient piece and a rotation multiplier.
 
-    g is solved slice by slice from D g = div(X, Y); every even-degree
-    divergence slice must average to zero over the circle, otherwise no
-    decomposition exists and ObstructionNonzeroAverage is raised. h is
-    then recovered from Euler's identity and both defining identities
-    are re-verified exactly.
+    g is solved slice by slice from D g = div(X, Y); the resonant part
+    the solve splits off each slice (its circle average, zero for odd
+    degrees) must vanish, otherwise no decomposition exists and
+    ObstructionNonzeroAverage is raised. h is then recovered from
+    Euler's identity and both defining identities are re-verified
+    exactly.
     """
     xs, ys = field.nonlinear()
     div = xs.diff_x() + ys.diff_y()
     g = BiPoly()
     for comp in homogeneous_components(div):
-        if comp.degree % 2 == 0:
-            avg = circle_average(comp)
-            if avg:
-                raise ObstructionNonzeroAverage(comp.degree, avg)
-        g = g + solve_homological(comp).f.inner
+        sol = solve_homological(comp)
+        if sol.k_const:
+            raise ObstructionNonzeroAverage(comp.degree, sol.k_const)
+        g = g + sol.f.inner
     h = BiPoly()
     for k in range(2, field.degree + 1):
         xk = xs.homogeneous_component(k)

@@ -228,8 +228,7 @@ def loop_integrate(field, x0, y0, t_end, cfg):
 
     return solve_ivp(
         rhs, (0.0, t_end), (x0, y0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-        dense_output=False,
+        rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=False,
     )
 
 
@@ -267,7 +266,7 @@ def loop_first_return(field, c, cfg):
 
     sol = solve_ivp(
         rhs, (0.0, cfg.max_time), (c, 0.0, 0.0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        rtol=cfg.rel_tol, atol=cfg.abs_tol,
         dense_output=True, events=(turn_done, stalled),
     )
     if sol.status == -1 or len(sol.t_events[1]) or not len(sol.t_events[0]):

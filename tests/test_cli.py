@@ -256,6 +256,21 @@ class TestUsageErrors:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["classify", "returnmap", "period"])
+    @pytest.mark.parametrize(
+        "raw, want", [("nan", "finite"), ("0.1,inf", "finite"), ("-0.1", "positive")]
+    )
+    def test_abscissa_is_a_positive_finite_float(
+        self, tmp_path, capsys, command, raw, want
+    ):
+        path = radial_cubic_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", path, "--c", raw])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --c: section abscissas must be {want}\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

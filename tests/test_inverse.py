@@ -89,6 +89,26 @@ def test_hamiltonian_residuals_vanish():
     assert all(r.is_zero() for r in complementary_residuals(spec, 10))
 
 
+def test_residuals_are_the_focus_quantities():
+    # slice n+2 of dV/dt is V_{n/2} (x^2+y^2)^(n/2+1) for even n, 0 for odd n
+    rng = random.Random(35)
+    for _ in range(12):
+        m = rng.choice([2, 3, 4])
+        h_list = (H2,) + tuple(random_homogeneous(rng, d) for d in range(3, m + 2))
+        g_list = (BiPoly.constant(1),) + tuple(
+            random_homogeneous(rng, d) for d in range(1, m)
+        )
+        spec = InverseSpec(m=m, h_list=h_list, g_list=g_list)
+        up_to = rng.randint(m, 9)
+        v_list = compute_lyapunov(build_field(spec), up_to + 1).v_list
+        want = [
+            R2 ** (n // 2 + 1) * v_list[n // 2 - 1] if n % 2 == 0 else BiPoly()
+            for n in range(m, up_to + 1)
+        ]
+        assert complementary_residuals(spec, up_to) == want
+        assert any(v for v in v_list)
+
+
 def test_mismatch_tracks_divergence():
     rng = random.Random(33)
     for _ in range(10):

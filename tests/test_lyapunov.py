@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import centerfocus.lyapunov as lyapunov_module
 from centerfocus import (
     BiPoly,
     NonNormalizedLinearPart,
@@ -12,6 +14,7 @@ from centerfocus import (
     R2,
     X,
     Y,
+    circle_average,
     compute_lyapunov,
     constants_quasihomogeneous,
     lyapunov_function,
@@ -85,16 +88,80 @@ def test_bautin_first_constant_closed_form():
         assert res.v_list[0] == -Fraction(1, 8) * l5 * (l3 - l6)
 
 
-def test_against_sympy_recursion():
-    """First nonzero constant agrees with a dense independent recursion."""
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def planar_fields(draw):
+    """(-y, x) plus dense random slices in 1-3 distinct degrees from 2..5."""
+    degrees = draw(st.sets(st.integers(2, 5), min_size=1, max_size=3))
+    p, q = {}, {}
+    for d in degrees:
+        for i in range(d + 1):
+            p[(i, d - i)] = draw(coeffs)
+            q[(i, d - i)] = draw(coeffs)
+    return nl_field(p, q)
+
+
+def _sympy_seed_fields():
     rng = random.Random(102)
-    for _ in range(4):
-        field = bautin_field(*(rand_frac(rng, 3) for _ in range(5)))
-        eng = compute_lyapunov(field, 4)
-        assert first_nonzero(eng.v_list) == first_nonzero(sympy_lyapunov(field, 4))
-    field = cubic_field(*(rand_frac(rng, 2) for _ in range(8)))
-    eng = compute_lyapunov(field, 4)
-    assert first_nonzero(eng.v_list) == first_nonzero(sympy_lyapunov(field, 4))
+    fields = [bautin_field(*(rand_frac(rng, 3) for _ in range(5))) for _ in range(4)]
+    fields.append(cubic_field(*(rand_frac(rng, 2) for _ in range(8))))
+    return fields
+
+
+def _with_seed_examples(test):
+    for field in _sympy_seed_fields():
+        test = example(field=field, order=4)(test)
+    return test
+
+
+@settings(max_examples=15, deadline=None)
+@given(field=planar_fields(), order=st.integers(2, 8))
+@_with_seed_examples
+def test_against_sympy_recursion(field, order):
+    """First nonzero constant agrees with a dense independent recursion."""
+    eng = compute_lyapunov(field, order)
+    assert first_nonzero(eng.v_list) == first_nonzero(sympy_lyapunov(field, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_fields(), st.integers(2, 12), st.data())
+def test_recursion_pins_every_slice(field, order, data):
+    """The conditions that fix every H_n and V_k: dV/dt equals the sum of
+    V_k (x^2+y^2)^(k+1) through degree order+1, for an even order the
+    degree-(order+2) residual has circle average 0, and each even H_n
+    averages to its gauge."""
+    gauges = {
+        n: data.draw(coeffs, label=f"gauge {n}")
+        for n in range(4, order + 2, 2)
+        if data.draw(st.booleans(), label=f"gauged {n}")
+    }
+    res = compute_lyapunov(field, order, gauges=gauges)
+    assert len(res.v_list) == order // 2
+    r = residual(field, res)
+    assert all(i + j > order + 1 for (i, j), _ in r.terms())
+    if order % 2 == 0:
+        assert circle_average(r.homogeneous_component(order + 2)) == 0
+    for n in range(4, order + 2, 2):
+        assert circle_average(res.h(n)) == gauges.get(n, 0)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_source_assembled_once_per_needed_slice(order, monkeypatch):
+    """Slices 3..order+1, plus slice order+2 only when an even order
+    reads its last constant there."""
+    calls = []
+    original = lyapunov_module._assemble_f
+
+    def counting(n, h, xs, ys):
+        calls.append(n)
+        return original(n, h, xs, ys)
+
+    monkeypatch.setattr(lyapunov_module, "_assemble_f", counting)
+    compute_lyapunov(bautin_field(1, 2, 3, 4, 5), order)
+    last = order + 2 if order % 2 == 0 else order + 1
+    assert calls == list(range(3, last + 1))
 
 
 def test_center_sequences_match_oracle_exactly():

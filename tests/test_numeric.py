@@ -311,6 +311,22 @@ def test_grid_deltas_decline_nonfinite_abscissas(c):
     assert _grid_deltas(harmonic(), (0.1, c), IntegratorConfig()) is None
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: return_map(harmonic(), c),
+        lambda c: period(harmonic(), c),
+        lambda c: numeric_classify(harmonic(), (0.1, c)),
+    ],
+    ids=["return_map", "period", "numeric_classify"],
+)
+def test_nonfinite_abscissa_is_a_precondition(call, c):
+    assert outcome(lambda: call(c)) == (
+        PreconditionFailed, "section abscissa must be finite"
+    )
+
+
 def test_tol_in_guard_band_uses_return_map(monkeypatch):
     field = radial_cubic()
     batch = _grid_deltas(field, GRID, IntegratorConfig())
