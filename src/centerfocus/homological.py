@@ -22,6 +22,16 @@ is then the compatibility check. The odd-k chain has one unknown more,
 the kernel direction (x^2+y^2)^(n/2), fixed by making the circle
 average of f equal to `gauge`.
 
+`solve_slice` works on the dense slice format of ``poly``: g and f are
+integer numerators a_k over one denominator. Each chain keeps a running
+multiplier, the product of the divisors it has met, and holds its
+newest entry as a numerator over den * multiplier, so a step is integer
+multiply-adds and never a division; the entries written earlier are
+brought to the chain's final multiplier in one backward pass, the two
+chains meet at the lcm of their multipliers, and the slice is reduced
+by one gcd. `solve_homological` is the BiPoly form, for API callers: it
+converts g to a slice, f back, and reads k_const from `circle_average`.
+
 The complex basis z, zbar, where D(z^k zbar^l) = i (k - l) z^k zbar^l
 is diagonal, gives the same solution (Romanovski & Shafer, The Center
 and Cyclicity Problems, 2009) at O(n^2) Gaussian-rational products per
@@ -32,14 +42,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .poly import (
     BiPoly,
     HomogeneousPoly,
+    Slice,
     X,
     Y,
     circle_average,
+    from_slice,
+    slice_average,
+    to_slice,
     # not called here; perfbench's tracer patches these names on this module
     from_complex,
     to_complex,
@@ -62,6 +76,83 @@ def apply_rotational(f: BiPoly | HomogeneousPoly) -> BiPoly:
     return X * f.diff_y() - Y * f.diff_x()
 
 
+def _sweep(a: list[int], g: list[int], n: int, ks: range, forward: bool) -> int:
+    """One parity chain of D a = g, written into `a` as numerators over
+    den * (the returned multiplier), den being g's denominator.
+
+    forward: a_(k+1) = ((n-k+1) a_(k-1) - g_k) / (k+1), from a zero entry;
+    backward: a_(k-1) = (g_k + (k+1) a_(k+1)) / (n-k+1), from a_(n+1) = 0.
+    """
+    prev, mult, written = 0, 1, []
+    for k in ks:
+        if forward:
+            prev = (n - k + 1) * prev - mult * g[k]
+            t, div = k + 1, k + 1
+        else:
+            prev = (k + 1) * prev + mult * g[k]
+            t, div = k - 1, n - k + 1
+        mult *= div
+        a[t] = prev
+        written.append((t, div))
+    scale = 1
+    for t, div in reversed(written):
+        a[t] *= scale
+        scale *= div
+    return mult
+
+
+def _add_radial(n: int, s: Slice, c: Fraction) -> Slice:
+    """s + c (x^2+y^2)^(n/2) for even n, over s's denominator times c's."""
+    nums, den = s
+    m, step = n // 2, c.numerator * den
+    nums = [v * c.denominator for v in nums]
+    for i in range(m + 1):
+        nums[2 * i] += step * comb(m, i)
+    return nums, den * c.denominator
+
+
+def solve_slice(n: int, g: Slice, k_const: Fraction | int, gauge: Fraction | int) -> Slice:
+    """Solve D f = g - k_const (x^2+y^2)^(n/2) on one degree-n slice.
+
+    k_const is the caller's: the circle average of g for even n, 0 for
+    odd n. A wrong value does not pass: for odd n it raises, for even n
+    the compatibility check g_n = a_(n-1) fails. For even n the circle
+    average of f is made `gauge`. f is returned in lowest terms.
+    """
+    nums, den = g
+    even = n % 2 == 0
+    if not even and k_const != 0:
+        raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
+    if k_const:
+        nums, den = _add_radial(n, g, -Fraction(k_const))
+
+    a = [0] * (n + 1)
+    odd_mult = _sweep(a, nums, n, range(0, n, 2), True)
+    if even:
+        # the odd chain's last entry a_(n-1), over den * odd_mult (a_(-1) = 0 for n = 0)
+        last = a[n - 1] if n else 0
+        if nums[n] * odd_mult != last:
+            raise AssertionError(
+                f"degree {n}: g_n = {Fraction(nums[n], den)} but a_(n-1) = "
+                f"{Fraction(last, den * odd_mult)} after removing the average {k_const}"
+            )
+        even_mult = _sweep(a, nums, n, range(1, n, 2), True)
+    else:
+        even_mult = _sweep(a, nums, n, range(n, 0, -2), False)
+    mult = lcm(odd_mult, even_mult)
+    up_odd, up_even = mult // odd_mult, mult // even_mult
+    for k in range(n + 1):
+        a[k] *= up_even if k % 2 == 0 else up_odd
+    den *= mult
+
+    if even:
+        shift = Fraction(gauge) - slice_average(n, (a, den))
+        if shift:
+            a, den = _add_radial(n, (a, den), shift)
+    common = gcd(den, *a)
+    return [c // common for c in a], den // common
+
+
 def solve_homological(
     g: BiPoly | HomogeneousPoly,
     gauge: Fraction | int = 0,
@@ -81,39 +172,12 @@ def solve_homological(
         gp = g
         n = max(g.degree(), 0)
     gauge = Fraction(gauge)
-    even = n % 2 == 0
-
     k_const = circle_average(gp)
-    if not even and k_const != 0:
-        raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
-    gk = [gp.coeff(k, n - k) for k in range(n + 1)]
-    if even and k_const:
-        for i in range(n // 2 + 1):
-            gk[2 * i] -= k_const * comb(n // 2, i)
-
-    # a[n + 1] is never written: it is the zero a_(n+1), and as a[-1] also a_(-1)
-    a = [Fraction(0)] * (n + 2)
-    for k in range(0, n, 2):
-        a[k + 1] = ((n - k + 1) * a[k - 1] - gk[k]) / (k + 1)
-    if even:
-        if gk[n] != a[n - 1]:
-            raise AssertionError(
-                f"degree {n}: g_n = {gk[n]} but a_(n-1) = {a[n - 1]} after "
-                f"removing the average {k_const}"
-            )
-        for k in range(1, n, 2):
-            a[k + 1] = ((n - k + 1) * a[k - 1] - gk[k]) / (k + 1)
-    else:
-        for k in range(n, 0, -2):
-            a[k - 1] = (gk[k] + (k + 1) * a[k + 1]) / (n - k + 1)
-
-    f = BiPoly({(k, n - k): a[k] for k in range(n + 1)})
-    if even:
-        f = f + radial_power(n) * (gauge - circle_average(f))
+    f = solve_slice(n, to_slice(gp, n), k_const, gauge)
     return HomologicalSolution(
-        f=HomogeneousPoly(n, f),
+        f=from_slice(n, f),
         k_const=k_const,
-        gauge=gauge if even else Fraction(0),
+        gauge=gauge if n % 2 == 0 else Fraction(0),
     )
 
 

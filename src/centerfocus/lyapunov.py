@@ -9,27 +9,49 @@ The constants V_k are exact rationals. The sign of the first nonzero
 one classifies the origin as a stable or unstable focus; if every
 computed constant vanishes the origin is a center candidate to the
 inspected order (never a proven center).
+
+The recursion runs on the dense slices of ``poly``: a degree-n slice is
+``(nums, den)``, integer numerators of x^k y^(n-k) over one positive
+denominator. The field's slices X_k, Y_k are converted once per call;
+the gradient of each H_j is taken once, when H_j is solved; the source
+of slice n is a sum of integer convolutions of those gradients with
+X_k and Y_k over the lcm of their denominators; `solve_slice` inverts
+D on it with one integer sweep per parity chain, each with a running
+multiplier in place of divisions; and the focus quantities are Wallis
+averages of slices. `BiPoly` appears only at the edges: the field
+coming in, and `LyapunovResult.h_list` going out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from math import lcm
+from typing import Literal, Sequence
 
 from .errors import NonNormalizedLinearPart, OrderTooSmall
-from .homological import solve_homological
+from .homological import (
+    solve_homological,  # not called here; perfbench's tracer patches this name on this module
+    solve_slice,
+)
 from .poly import (
     BiPoly,
     HomogeneousPoly,
     R2,
+    Slice,
     X,
     Y,
-    circle_average,  # called through this module: perfbench's tracer patches it here
+    circle_average,  # not called here; perfbench's tracer patches this name on this module
+    from_slice,
     homogeneous_components,
+    slice_average,
+    to_slice,
 )
 
 H2 = BiPoly({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
+
+# (d/dx numerators, d/dy numerators, shared denominator) of one H_j
+Gradient = tuple[list[int], list[int], int]
 
 
 @dataclass(frozen=True)
@@ -100,59 +122,87 @@ def _classify(v_list: Sequence[Fraction]):
     return "CenterCandidate", None
 
 
+def _gradient(n: int, s: Slice) -> Gradient:
+    """Both partial derivatives of a degree-n slice, over its denominator."""
+    a, den = s
+    return (
+        [(k + 1) * a[k + 1] for k in range(n)],
+        [(n - k) * a[k] for k in range(n)],
+        den,
+    )
+
+
 def _assemble_f(
     n: int,
-    h: dict[int, BiPoly],
-    xs: dict[int, BiPoly],
-    ys: dict[int, BiPoly],
-) -> BiPoly:
-    """Degree-n slice of grad(V) . (X, Y) over the known H_j (j < n)."""
-    total = BiPoly()
-    for j, hj in h.items():
-        k = n + 1 - j
-        if k < 2:
-            continue
-        xk = xs.get(k)
-        yk = ys.get(k)
-        if xk is not None:
-            total = total + hj.diff_x() * xk
-        if yk is not None:
-            total = total + hj.diff_y() * yk
-    return total
+    h: dict[int, Gradient],
+    xs: dict[int, Slice],
+    ys: dict[int, Slice],
+) -> Slice:
+    """Degree-n slice of grad(V) . (X, Y) over the known H_j (j < n).
+
+    `h` maps j to the gradient of H_j; each term H_j,x X_k or H_j,y Y_k
+    with k = n + 1 - j is an integer convolution, scaled to the lcm of
+    the term denominators.
+    """
+    terms = []
+    for grad_index, field in ((0, xs), (1, ys)):
+        for k, (fk, fden) in field.items():
+            hj = h.get(n + 1 - k)
+            if hj is not None:
+                terms.append((hj[grad_index], fk, hj[2] * fden))
+    den = lcm(*(t[2] for t in terms))
+    out = [0] * (n + 1)
+    for grad, fk, tden in terms:
+        scale = den // tden
+        for p, a in enumerate(grad):
+            if a:
+                a *= scale
+                for q, b in enumerate(fk, start=p):
+                    if b:
+                        out[q] += a * b
+    return out, den
 
 
 def _recursion(
     order: int,
-    source: Callable[[int, dict[int, BiPoly]], BiPoly],
+    xs: dict[int, BiPoly],
+    ys: dict[int, BiPoly],
     gauges: dict[int, Fraction] | None = None,
 ) -> LyapunovResult:
-    """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree.
+    """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree
+    for the nonlinear part with degree-k slices X_k = xs[k], Y_k = ys[k].
 
-    `source(n, h)` gives the degree-n slice f_n of dV/dt from the known
-    H_j (j < n). Each n solves D H_n = -f_n up to the resonant part
-    k_const (x^2+y^2)^(n/2) that `solve_homological` splits off, so the
-    slice D H_n + f_n is -k_const (x^2+y^2)^(n/2): zero for odd n, and
-    V_{n/2-1} = -k_const for even n. An even order reads its last
-    constant from the circle average of slice order+2 alone.
+    The degree-n slice f_n of dV/dt comes from the gradients of the
+    known H_j (j < n). Each n solves D H_n = -f_n up to the resonant
+    part k_const (x^2+y^2)^(n/2), k_const the circle average of -f_n,
+    so the slice D H_n + f_n is -k_const (x^2+y^2)^(n/2): zero for odd
+    n, and V_{n/2-1} = -k_const for even n. An even order reads its
+    last constant from the circle average of slice order+2 alone.
     """
     if order < 2:
         raise OrderTooSmall(f"order {order} < 2")
     gauges = gauges or {}
-    h: dict[int, BiPoly] = {2: H2}
+    xs = {k: to_slice(p, k) for k, p in xs.items()}
+    ys = {k: to_slice(p, k) for k, p in ys.items()}
+    grads: dict[int, Gradient] = {2: _gradient(2, to_slice(H2, 2))}
+    h_slices: list[Slice] = []
     v_list: list[Fraction] = []
     for n in range(3, order + 2):
-        sol = solve_homological(
-            HomogeneousPoly(n, -source(n, h)), gauge=gauges.get(n, 0)
-        )
-        h[n] = sol.f.inner
-        if n % 2 == 0:
-            v_list.append(-sol.k_const)
+        nums, den = _assemble_f(n, grads, xs, ys)
+        even = n % 2 == 0
+        # an odd slice has circle average 0
+        v = slice_average(n, (nums, den)) if even else 0
+        h_n = solve_slice(n, ([-c for c in nums], den), -v, gauges.get(n, 0))
+        grads[n] = _gradient(n, h_n)
+        h_slices.append(h_n)
+        if even:
+            v_list.append(v)
     if order % 2 == 0:
-        v_list.append(circle_average(source(order + 2, h)))
+        v_list.append(slice_average(order + 2, _assemble_f(order + 2, grads, xs, ys)))
     verdict, idx = _classify(v_list)
     return LyapunovResult(
         order=order,
-        h_list=tuple(HomogeneousPoly(n, h[n]) for n in range(3, order + 2)),
+        h_list=tuple(from_slice(n, s) for n, s in enumerate(h_slices, start=3)),
         v_list=tuple(v_list),
         verdict=verdict,
         verdict_index=idx,
@@ -172,8 +222,7 @@ def compute_lyapunov(
     kernel coefficients for the even-degree solves (degree ->
     coefficient), default all zero.
     """
-    xs, ys = field.nonlinear_slices()
-    return _recursion(order, lambda n, h: _assemble_f(n, h, xs, ys), gauges)
+    return _recursion(order, *field.nonlinear_slices(), gauges)
 
 
 def lyapunov_function(result: LyapunovResult) -> BiPoly:

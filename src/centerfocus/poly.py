@@ -7,6 +7,12 @@ iteration is graded lexicographic (total degree, then x-degree
 descending), which makes printing, serialization and float evaluation
 deterministic.
 
+The symbolic hot path works on dense slices instead: a degree-n
+homogeneous polynomial as ``(nums, den)``, where ``nums[k]`` is the
+integer numerator of x^k y^(n-k) and ``den > 0`` the one denominator
+they share. ``to_slice`` and ``from_slice`` convert at the boundary;
+``wallis_weights`` is the one table of circle averages both forms read.
+
 Float evaluation runs through generated straight-line code
 (``float_code``): one compiled function per polynomial, cached on the
 ``BiPoly``, that performs exactly the operations of the term loop
@@ -18,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonRealInput
 
 Scalar = Union[Fraction, int]
+Slice = tuple[list[int], int]  # (nums, den): nums[k] / den is the x^k y^(n-k) coefficient
 
 
 def _grlex(key: tuple[int, int]) -> tuple[int, int]:
@@ -261,6 +269,25 @@ def poisson_bracket(f: BiPoly, g: BiPoly) -> BiPoly:
     return f.diff_x() * g.diff_y() - f.diff_y() * g.diff_x()
 
 
+def to_slice(p: BiPoly, n: int) -> Slice:
+    """The degree-n part of p as integer numerators over their least
+    common denominator."""
+    part = [(i, c) for (i, j), c in p._terms.items() if i + j == n]
+    den = lcm(*(c.denominator for _, c in part))
+    nums = [0] * (n + 1)
+    for i, c in part:
+        nums[i] = c.numerator * (den // c.denominator)
+    return nums, den
+
+
+def from_slice(n: int, s: Slice) -> HomogeneousPoly:
+    """The degree-n slice s as a polynomial with reduced coefficients."""
+    nums, den = s
+    p = BiPoly.__new__(BiPoly)
+    p._terms = {(k, n - k): Fraction(c, den) for k, c in enumerate(nums) if c}
+    return HomogeneousPoly(n, p)
+
+
 def _double_factorial(n: int) -> int:
     # (-1)!! = 1 by convention
     result = 1
@@ -270,19 +297,39 @@ def _double_factorial(n: int) -> int:
     return result
 
 
-def circle_average(p: BiPoly | HomogeneousPoly) -> Fraction:
-    """Exact (1/2pi) integral of p(cos t, sin t) over one turn.
+@lru_cache(maxsize=256)
+def wallis_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """Circle averages of the degree-n monomials over one denominator.
 
-    Wallis: the average of x^a y^b vanishes unless a and b are both
-    even, and then equals (a-1)!! (b-1)!! / (a+b)!!.
+    Wallis: the average of x^i y^(n-i) over one turn is weights[i] / n!!
+    with weights[i] = (i-1)!! (n-i-1)!! when i and n-i are both even,
+    and 0 otherwise (so every weight of an odd degree is 0).
     """
+    weights = tuple(
+        _double_factorial(i - 1) * _double_factorial(n - i - 1)
+        if i % 2 == 0 and n % 2 == 0 else 0
+        for i in range(n + 1)
+    )
+    return weights, _double_factorial(n)
+
+
+def slice_average(n: int, s: Slice) -> Fraction:
+    """Exact circle average of a degree-n slice."""
+    weights, w_den = wallis_weights(n)
+    nums, den = s
+    return Fraction(sum(w * c for w, c in zip(weights, nums) if w), w_den * den)
+
+
+def circle_average(p: BiPoly | HomogeneousPoly) -> Fraction:
+    """Exact (1/2pi) integral of p(cos t, sin t) over one turn, by the
+    per-degree Wallis table."""
     if isinstance(p, HomogeneousPoly):
         p = p.inner
     total = Fraction(0)
     for (i, j), c in p._terms.items():
         if i % 2 == 0 and j % 2 == 0:
-            num = _double_factorial(i - 1) * _double_factorial(j - 1)
-            total += c * Fraction(num, _double_factorial(i + j))
+            weights, w_den = wallis_weights(i + j)
+            total += c * Fraction(weights[i], w_den)
     return total
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotQuasiHomogeneous, ObstructionNonzeroAverage, OrderTooSmall
-from .homological import apply_rotational, radial_power, solve_homological
+from .homological import radial_power, solve_homological
 from .lyapunov import LyapunovResult, PlanarField, _recursion
 from .poly import (
     BiPoly,
@@ -23,7 +23,6 @@ from .poly import (
     Y,
     circle_average,
     homogeneous_components,
-    poisson_bracket,
     to_complex,  # not called here; perfbench's tracer patches this name on this module
 )
 
@@ -103,25 +102,19 @@ def constants_quasihomogeneous(field: PlanarField, order: int) -> LyapunovResult
 
     For a single nonlinear degree m the only nonzero H's sit on degrees
     2 + k(m-1); the degree-n source collapses to
-    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m.
+    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m. By
+    Euler's identity j H_j = x H_j,x + y H_j,y this is H_j's gradient
+    against (-H_{m+1},y - y g + c x r^(m-1), H_{m+1},x + x g + c y r^(m-1)),
+    the field's X_m, Y_m rebuilt from the parts, so the recursion runs on
+    that single slice.
     """
     if order < 2:  # reported before any shape error of the field
         raise OrderTooSmall(f"order {order} < 2")
     m, h_top, g, c = quasihomogeneous_parts(field)
-    rad = radial_power(m - 1) if m % 2 else None
-    chain = {2 + k * (m - 1) for k in range(order + 1)}
-
-    def source(n: int, h: dict[int, BiPoly]) -> BiPoly:
-        j = n + 1 - m
-        if j not in chain or j not in h:
-            return BiPoly()
-        hj = h[j]
-        f_n = poisson_bracket(h_top, hj) + g * apply_rotational(hj)
-        if c:
-            f_n = f_n + rad * hj * (c * j)
-        return f_n
-
-    return _recursion(order, source)
+    rad = radial_power(m - 1) * c if c else BiPoly()
+    xm = -h_top.diff_y() - Y * g + X * rad
+    ym = h_top.diff_x() + X * g + Y * rad
+    return _recursion(order, {m: xm}, {m: ym})
 
 
 @dataclass(frozen=True)

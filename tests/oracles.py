@@ -4,7 +4,8 @@ The rotational equation has two references: dense Gaussian elimination
 over Fraction, and the complex-basis solve, which divides termwise in
 z, zbar where the operator is diagonal. The axis-reversibility flags
 are re-read from the z, zbar coefficients of the field. The constant
-recursion is rerun in sympy with per-degree linear solves. Float
+recursion is rerun twice: on dict polynomials with the complex-basis
+solve per slice, and in sympy with per-degree linear solves. Float
 evaluation and the float oracle's integrations are rerun with the plain
 term loop on NumPy scalars, the evaluator the compiled kernels must
 match bit for bit.
@@ -19,6 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from centerfocus import (
+    H2,
     BiPoly,
     ComplexCoeffs,
     HomogeneousPoly,
@@ -131,6 +133,57 @@ def complex_rotational_solve(g, gauge=0):
     if n % 2 and k_const != 0:
         raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
     return f, k_const
+
+
+def _assemble_f(
+    n: int,
+    h: dict[int, BiPoly],
+    xs: dict[int, BiPoly],
+    ys: dict[int, BiPoly],
+) -> BiPoly:
+    """Degree-n slice of grad(V) . (X, Y) over the known H_j (j < n)."""
+    total = BiPoly()
+    for j, hj in h.items():
+        k = n + 1 - j
+        if k < 2:
+            continue
+        xk = xs.get(k)
+        yk = ys.get(k)
+        if xk is not None:
+            total = total + hj.diff_x() * xk
+        if yk is not None:
+            total = total + hj.diff_y() * yk
+    return total
+
+
+def bipoly_lyapunov(field, order, gauges=None):
+    """The focus recursion on dict polynomials, each slice solved in the
+    z, zbar basis.
+
+    Slice n solves D H_n = -f_n - K (x^2+y^2)^(n/2) with the even-degree
+    gauges; V_{n/2-1} = -K for even n, and an even order reads its last
+    constant as the resonant coefficient of slice order+2. Returns
+    (h, v_list, verdict) with h mapping n = 3..order+1 to H_n.
+    """
+    gauges = gauges or {}
+    xs, ys = field.nonlinear_slices()
+    h = {2: H2}
+    v_list = []
+    for n in range(3, order + 2):
+        f_n = _assemble_f(n, h, xs, ys)
+        h[n], k = complex_rotational_solve(HomogeneousPoly(n, -f_n), gauges.get(n, 0))
+        if n % 2 == 0:
+            v_list.append(-k)
+    if order % 2 == 0:
+        f_last = _assemble_f(order + 2, h, xs, ys)
+        v_list.append(complex_rotational_solve(HomogeneousPoly(order + 2, f_last))[1])
+    verdict = "CenterCandidate"
+    for v in v_list:
+        if v:
+            verdict = "StableFocus" if v < 0 else "UnstableFocus"
+            break
+    del h[2]
+    return h, v_list, verdict
 
 
 def complex_reversibility(field):

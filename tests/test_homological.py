@@ -109,6 +109,35 @@ def test_matches_complex_basis_solve(g, gauge):
     assert sol.gauge == (gauge if g.degree % 2 == 0 else 0)
 
 
+@st.composite
+def dense_homogeneous(draw):
+    degree = draw(st.integers(0, 41))
+    terms = {(degree - i, i): draw(fractions) for i in range(degree + 1)}
+    return HomogeneousPoly(degree, BiPoly(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_homogeneous(), st.one_of(st.just(Fraction(0)), fractions))
+def test_dense_slices_match_both_oracles(g, gauge):
+    """The slice solve behind solve_homological, on full slices up to
+    degree 41: equal to the complex-basis solve, and to the dense Gauss
+    solve up to the kernel multiple that the gauge fixes."""
+    n = g.degree
+    sol = solve_homological(g, gauge)
+    f_ref, k_ref = complex_rotational_solve(g, gauge)
+    assert sol.f.inner == f_ref
+    assert sol.k_const == k_ref
+    if g.inner.is_zero():
+        return
+    f_dense, k_dense = dense_rotational_solve(g.inner)
+    assert sol.k_const == k_dense
+    if n % 2:
+        assert sol.f.inner == f_dense
+    else:
+        kernel = radial_power(n) * (gauge - circle_average(f_dense))
+        assert sol.f.inner == f_dense + kernel
+
+
 def test_radial_power_matches_r2_powers():
     for m in range(16):
         assert radial_power(2 * m) == R2**m

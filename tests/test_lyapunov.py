@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import centerfocus.lyapunov as lyapunov_module
 from centerfocus import (
+    H2,
     BiPoly,
     NonNormalizedLinearPart,
     NotQuasiHomogeneous,
@@ -21,8 +22,9 @@ from centerfocus import (
     quasihomogeneous_parts,
     residual,
 )
+from centerfocus.catalog import get as catalog_get
 from helpers import bautin_field, cubic_field, nl_field, radial_cubic, rand_frac
-from oracles import sympy_lyapunov
+from oracles import bipoly_lyapunov, sympy_lyapunov
 
 
 def first_nonzero(vs):
@@ -123,6 +125,52 @@ def test_against_sympy_recursion(field, order):
     """First nonzero constant agrees with a dense independent recursion."""
     eng = compute_lyapunov(field, order)
     assert first_nonzero(eng.v_list) == first_nonzero(sympy_lyapunov(field, order))
+
+
+def _hamiltonian_field():
+    """-Psi_y, Psi_x for Psi = H_2 + H_3 + H_4 with fixed small coefficients."""
+    psi = H2 + BiPoly({
+        (3, 0): Fraction(1, 5), (2, 1): Fraction(-1, 3), (1, 2): Fraction(1, 4),
+        (0, 3): Fraction(-1, 6), (4, 0): Fraction(1, 7), (3, 1): Fraction(2, 9),
+        (1, 3): Fraction(-1, 8), (0, 4): Fraction(1, 10), (2, 2): Fraction(-3, 11),
+    })
+    return PlanarField(p=-psi.diff_y(), q=psi.diff_x())
+
+
+# the field shapes and orders of the lyapunov-deep benchmark workload
+DEEP_SHAPES = [
+    (bautin_field(Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(3, 11),
+                  Fraction(5, 13)), 16),
+    (cubic_field(*(Fraction(k, 5) for k in (1, -2, 3, 1, -1, 2, -3, 1))), 20),
+    (_hamiltonian_field(), 14),
+    (catalog_get("quintic_ssss").field, 20),
+]
+
+
+def _with_deep_examples(test):
+    for field, order in DEEP_SHAPES:
+        test = example(field=field, order=order, gauges={})(test)
+        test = example(field=field, order=order - 1, gauges={4: Fraction(-2, 3), 10: 1})(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=planar_fields(),
+    order=st.integers(2, 12),
+    gauges=st.dictionaries(st.sampled_from(range(4, 14, 2)), coeffs),
+)
+@_with_deep_examples
+def test_matches_bipoly_recursion(field, order, gauges):
+    """Every H_n, V_k and the verdict equal those of the dict-polynomial
+    recursion with complex-basis slice solves, exactly."""
+    gauges = {n: c for n, c in gauges.items() if n <= order + 1}
+    res = compute_lyapunov(field, order, gauges=gauges)
+    h, v_list, verdict = bipoly_lyapunov(field, order, gauges)
+    assert [hp.degree for hp in res.h_list] == list(h)
+    assert [hp.inner for hp in res.h_list] == list(h.values())
+    assert list(res.v_list) == v_list
+    assert res.verdict == verdict
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,7 +22,14 @@ from centerfocus import (
     poisson_bracket,
     to_complex,
 )
-from centerfocus.poly import ComplexCoeffs, float_code
+from centerfocus.poly import (
+    ComplexCoeffs,
+    float_code,
+    from_slice,
+    slice_average,
+    to_slice,
+    wallis_weights,
+)
 from oracles import loop_evaluate
 
 fracs = st.fractions(
@@ -98,6 +105,28 @@ def test_circle_average_wallis():
     assert circle_average(X**3 * Y) == 0
     assert circle_average(X * Y**5) == 0
     assert circle_average(R2**3) == 1
+
+
+@given(st.integers(0, 12), st.lists(fracs, min_size=13, max_size=13))
+def test_dense_slice_round_trip_and_average(n, coeffs):
+    p = BiPoly({(k, n - k): c for k, c in enumerate(coeffs[: n + 1])})
+    nums, den = to_slice(p, n)
+    assert den == math.lcm(*(c.denominator for _, c in p.terms()))
+    assert from_slice(n, (nums, den)).inner == p
+    assert slice_average(n, (nums, den)) == circle_average(p)
+
+
+def test_wallis_weights_are_monomial_averages():
+    for n in range(9):
+        weights, w_den = wallis_weights(n)
+        for i in range(n + 1):
+            # the average of x^i y^(n-i) by the trapezoid rule on 64 points,
+            # exact for trigonometric polynomials of degree below 64
+            quad = sum(
+                math.cos(t) ** i * math.sin(t) ** (n - i)
+                for t in (2 * math.pi * s / 64 for s in range(64))
+            ) / 64
+            assert weights[i] / w_den == pytest.approx(quad, abs=1e-12)
 
 
 @given(small_polys())
