@@ -29,8 +29,11 @@ newest entry as a numerator over den * multiplier, so a step is integer
 multiply-adds and never a division; the entries written earlier are
 brought to the chain's final multiplier in one backward pass, the two
 chains meet at the lcm of their multipliers, and the slice is reduced
-by one gcd. `solve_homological` is the BiPoly form, for API callers: it
-converts g to a slice, f back, and reads k_const from `circle_average`.
+by one gcd. `solve_slice` reads k_const from the slice itself (Wallis
+weights, see ``poly.wallis_weights``) and returns it with f.
+`solve_homological` is the BiPoly form, for API callers: it converts g
+to a slice and f back, and checks the slice's k_const against
+`circle_average` of g.
 
 The complex basis z, zbar, where D(z^k zbar^l) = i (k - l) z^k zbar^l
 is diagonal, gives the same solution (Romanovski & Shafer, The Center
@@ -111,20 +114,19 @@ def _add_radial(n: int, s: Slice, c: Fraction) -> Slice:
     return nums, den * c.denominator
 
 
-def solve_slice(n: int, g: Slice, k_const: Fraction | int, gauge: Fraction | int) -> Slice:
+def solve_slice(n: int, g: Slice, gauge: Fraction | int = 0) -> tuple[Slice, Fraction]:
     """Solve D f = g - k_const (x^2+y^2)^(n/2) on one degree-n slice.
 
-    k_const is the caller's: the circle average of g for even n, 0 for
-    odd n. A wrong value does not pass: for odd n it raises, for even n
-    the compatibility check g_n = a_(n-1) fails. For even n the circle
-    average of f is made `gauge`. f is returned in lowest terms.
+    Returns f in lowest terms and k_const: the circle average of g for
+    even n, 0 for odd n. For even n the circle average of f is made
+    `gauge`, and the leftover equation g_n = a_(n-1) is checked by an
+    explicit raise, so it also runs under python -O.
     """
     nums, den = g
     even = n % 2 == 0
-    if not even and k_const != 0:
-        raise AssertionError(f"odd degree {n} has a resonant part {k_const}")
+    k_const = slice_average(n, g) if even else Fraction(0)
     if k_const:
-        nums, den = _add_radial(n, g, -Fraction(k_const))
+        nums, den = _add_radial(n, g, -k_const)
 
     a = [0] * (n + 1)
     odd_mult = _sweep(a, nums, n, range(0, n, 2), True)
@@ -150,7 +152,7 @@ def solve_slice(n: int, g: Slice, k_const: Fraction | int, gauge: Fraction | int
         if shift:
             a, den = _add_radial(n, (a, den), shift)
     common = gcd(den, *a)
-    return [c // common for c in a], den // common
+    return ([c // common for c in a], den // common), k_const
 
 
 def solve_homological(
@@ -172,8 +174,13 @@ def solve_homological(
         gp = g
         n = max(g.degree(), 0)
     gauge = Fraction(gauge)
-    k_const = circle_average(gp)
-    f = solve_slice(n, to_slice(gp, n), k_const, gauge)
+    average = circle_average(gp)
+    f, k_const = solve_slice(n, to_slice(gp, n), gauge)
+    # the BiPoly average must agree with the resonant part the slice solve split off
+    if average != k_const:
+        raise AssertionError(
+            f"degree {n}: circle average {average} but the slice solve split off {k_const}"
+        )
     return HomologicalSolution(
         f=from_slice(n, f),
         k_const=k_const,

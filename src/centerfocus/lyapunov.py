@@ -18,8 +18,10 @@ of slice n is a sum of integer convolutions of those gradients with
 X_k and Y_k over the lcm of their denominators; `solve_slice` inverts
 D on it with one integer sweep per parity chain, each with a running
 multiplier in place of divisions; and the focus quantities are Wallis
-averages of slices. `BiPoly` appears only at the edges: the field
-coming in, and `LyapunovResult.h_list` going out.
+averages of slices. `_recursion` takes the source as a callable, so
+`structure.constants_quasihomogeneous` runs the same loop on its own
+chain source in the same format. `BiPoly` appears only at the edges:
+the field coming in, and `LyapunovResult.h_list` going out.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .errors import NonNormalizedLinearPart, OrderTooSmall
 from .homological import (
@@ -52,6 +54,9 @@ H2 = BiPoly({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
 
 # (d/dx numerators, d/dy numerators, shared denominator) of one H_j
 Gradient = tuple[list[int], list[int], int]
+
+# (n, H_j slices, H_j gradients) -> the degree-n slice of dV/dt
+Source = Callable[[int, dict[int, Slice], dict[int, Gradient]], Slice]
 
 
 @dataclass(frozen=True)
@@ -165,44 +170,39 @@ def _assemble_f(
 
 def _recursion(
     order: int,
-    xs: dict[int, BiPoly],
-    ys: dict[int, BiPoly],
+    source: Source,
     gauges: dict[int, Fraction] | None = None,
 ) -> LyapunovResult:
-    """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree
-    for the nonlinear part with degree-k slices X_k = xs[k], Y_k = ys[k].
+    """Solve H_3 .. H_{order+1} and V_1 .. V_{order//2} degree by degree.
 
-    The degree-n slice f_n of dV/dt comes from the gradients of the
-    known H_j (j < n). Each n solves D H_n = -f_n up to the resonant
-    part k_const (x^2+y^2)^(n/2), k_const the circle average of -f_n,
-    so the slice D H_n + f_n is -k_const (x^2+y^2)^(n/2): zero for odd
-    n, and V_{n/2-1} = -k_const for even n. An even order reads its
-    last constant from the circle average of slice order+2 alone.
+    `source(n, hs, grads)` gives the degree-n slice f_n of dV/dt from
+    the known H_j (j < n): `hs[j]` is H_j's slice and `grads[j]` its
+    gradient, taken once when H_j is solved. Each n solves D H_n = -f_n
+    up to the resonant part k_const (x^2+y^2)^(n/2) that `solve_slice`
+    splits off, so the slice D H_n + f_n is -k_const (x^2+y^2)^(n/2):
+    zero for odd n, and V_{n/2-1} = -k_const for even n. An even order
+    reads its last constant from the circle average of slice order+2
+    alone.
     """
     if order < 2:
         raise OrderTooSmall(f"order {order} < 2")
     gauges = gauges or {}
-    xs = {k: to_slice(p, k) for k, p in xs.items()}
-    ys = {k: to_slice(p, k) for k, p in ys.items()}
-    grads: dict[int, Gradient] = {2: _gradient(2, to_slice(H2, 2))}
-    h_slices: list[Slice] = []
+    hs: dict[int, Slice] = {2: to_slice(H2, 2)}
+    grads: dict[int, Gradient] = {2: _gradient(2, hs[2])}
     v_list: list[Fraction] = []
     for n in range(3, order + 2):
-        nums, den = _assemble_f(n, grads, xs, ys)
-        even = n % 2 == 0
-        # an odd slice has circle average 0
-        v = slice_average(n, (nums, den)) if even else 0
-        h_n = solve_slice(n, ([-c for c in nums], den), -v, gauges.get(n, 0))
+        nums, den = source(n, hs, grads)
+        h_n, k_const = solve_slice(n, ([-c for c in nums], den), gauges.get(n, 0))
+        hs[n] = h_n
         grads[n] = _gradient(n, h_n)
-        h_slices.append(h_n)
-        if even:
-            v_list.append(v)
+        if n % 2 == 0:
+            v_list.append(-k_const)
     if order % 2 == 0:
-        v_list.append(slice_average(order + 2, _assemble_f(order + 2, grads, xs, ys)))
+        v_list.append(slice_average(order + 2, source(order + 2, hs, grads)))
     verdict, idx = _classify(v_list)
     return LyapunovResult(
         order=order,
-        h_list=tuple(from_slice(n, s) for n, s in enumerate(h_slices, start=3)),
+        h_list=tuple(from_slice(n, hs[n]) for n in range(3, order + 2)),
         v_list=tuple(v_list),
         verdict=verdict,
         verdict_index=idx,
@@ -220,9 +220,13 @@ def compute_lyapunov(
     H_n is solved for n <= order+1; an even order's final slice
     order+2 contributes its constant only. `gauges` optionally injects
     kernel coefficients for the even-degree solves (degree ->
-    coefficient), default all zero.
+    coefficient), default all zero. The field's slices X_k, Y_k are
+    converted to the dense format once, here.
     """
-    return _recursion(order, *field.nonlinear_slices(), gauges)
+    xp, yp = field.nonlinear_slices()
+    xs = {k: to_slice(p, k) for k, p in xp.items()}
+    ys = {k: to_slice(p, k) for k, p in yp.items()}
+    return _recursion(order, lambda n, hs, grads: _assemble_f(n, grads, xs, ys), gauges)
 
 
 def lyapunov_function(result: LyapunovResult) -> BiPoly:

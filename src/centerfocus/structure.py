@@ -12,18 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotQuasiHomogeneous, ObstructionNonzeroAverage, OrderTooSmall
 from .homological import radial_power, solve_homological
-from .lyapunov import LyapunovResult, PlanarField, _recursion
+from .lyapunov import Gradient, LyapunovResult, PlanarField, Source, _gradient, _recursion
 from .poly import (
     BiPoly,
     R2,
+    Slice,
     X,
     Y,
     circle_average,
     homogeneous_components,
     to_complex,  # not called here; perfbench's tracer patches this name on this module
+    to_slice,
 )
 
 
@@ -97,24 +100,70 @@ def quasihomogeneous_parts(field: PlanarField):
     return m, dec.h, dec.g, c
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Numerators of the product of two slices (over the product of their denominators)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for p, u in enumerate(a):
+        if u:
+            for q, v in enumerate(b, start=p):
+                out[q] += u * v
+    return out
+
+
+def _chain_source(m: int, h_top: BiPoly, g: BiPoly, c: Fraction, order: int) -> Source:
+    """The degree-n slice {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j,
+    j = n + 1 - m, assembled from the parts (h, g, c) and H_j alone;
+    zero unless j lies on the chain 2 + k(m-1)."""
+    top_x, top_y, top_den = _gradient(m + 1, to_slice(h_top, m + 1))
+    g_nums, g_den = to_slice(g, m - 1)
+    rad = to_slice(radial_power(m - 1), m - 1)[0] if c else None
+    chain = {2 + k * (m - 1) for k in range(order + 1)}
+
+    def source(n: int, hs: dict[int, Slice], grads: dict[int, Gradient]) -> Slice:
+        j = n + 1 - m
+        if j not in chain:
+            return [0] * (n + 1), 1
+        hx, hy, h_den = grads[j]
+        # D H_j = x H_j,y - y H_j,x over h_den
+        d_hj = [0] * (j + 1)
+        for k in range(j):
+            d_hj[k + 1] += hy[k]
+            d_hj[k] -= hx[k]
+        terms = [
+            (_convolve(top_x, hy), top_den * h_den),
+            ([-v for v in _convolve(top_y, hx)], top_den * h_den),
+            (_convolve(g_nums, d_hj), g_den * h_den),
+        ]
+        if c:
+            hj_nums, hj_den = hs[j]
+            scale = c.numerator * j
+            terms.append(
+                ([scale * v for v in _convolve(rad, hj_nums)], c.denominator * hj_den)
+            )
+        den = lcm(*(t_den for _, t_den in terms))
+        out = [0] * (n + 1)
+        for nums, t_den in terms:
+            up = den // t_den
+            for k, v in enumerate(nums):
+                out[k] += up * v
+        return out, den
+
+    return source
+
+
 def constants_quasihomogeneous(field: PlanarField, order: int) -> LyapunovResult:
     """Same contract as compute_lyapunov, by the chain recursion.
 
     For a single nonlinear degree m the only nonzero H's sit on degrees
     2 + k(m-1); the degree-n source collapses to
-    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m. By
-    Euler's identity j H_j = x H_j,x + y H_j,y this is H_j's gradient
-    against (-H_{m+1},y - y g + c x r^(m-1), H_{m+1},x + x g + c y r^(m-1)),
-    the field's X_m, Y_m rebuilt from the parts, so the recursion runs on
-    that single slice.
+    {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j with j = n + 1 - m, which
+    `_chain_source` assembles from (h, g, c) without going back to the
+    field's X_m, Y_m. The recursion's loop and slice solve are shared.
     """
     if order < 2:  # reported before any shape error of the field
         raise OrderTooSmall(f"order {order} < 2")
     m, h_top, g, c = quasihomogeneous_parts(field)
-    rad = radial_power(m - 1) * c if c else BiPoly()
-    xm = -h_top.diff_y() - Y * g + X * rad
-    ym = h_top.diff_x() + X * g + Y * rad
-    return _recursion(order, {m: xm}, {m: ym})
+    return _recursion(order, _chain_source(m, h_top, g, c, order))
 
 
 @dataclass(frozen=True)

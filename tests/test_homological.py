@@ -144,8 +144,8 @@ def test_radial_power_matches_r2_powers():
 
 
 def test_solve_checks_survive_optimize():
-    # a wrong circle average must trip the odd-degree resonance check and
-    # the even-degree compatibility check, also with asserts compiled out
+    # a wrong circle average must trip the wrapper's check against the
+    # resonant part the slice solve splits off, also with asserts compiled out
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
