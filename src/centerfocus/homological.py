@@ -23,17 +23,15 @@ the kernel direction (x^2+y^2)^(n/2), fixed by making the circle
 average of f equal to `gauge`.
 
 `solve_slice` works on the dense slice format of ``poly``: g and f are
-integer numerators a_k over one denominator. Each chain keeps a running
-multiplier, the product of the divisors it has met, and holds its
-newest entry as a numerator over den * multiplier, so a step is integer
-multiply-adds and never a division; the entries written earlier are
-brought to the chain's final multiplier in one backward pass, the two
-chains meet at the lcm of their multipliers, and the slice is reduced
-by one gcd. `solve_slice` reads k_const from the slice itself (Wallis
-weights, see ``poly.wallis_weights``) and returns it with f.
-`solve_homological` is the BiPoly form, for API callers: it converts g
-to a slice and f back, and checks the slice's k_const against
-`circle_average` of g.
+integer numerators a_k over one denominator. Each chain divides by
+distinct numbers of one parity up to n, and each entry's denominator
+divides den times the divisors met so far. So once g is scaled by n!!
+(by n!! (n-1)!! for even n) every step of either chain is an exact
+integer division, and the slice is reduced by one gcd at the end.
+`solve_slice` reads k_const from the slice itself (Wallis weights, see
+``poly.wallis_weights``) and returns it with f. `solve_homological` is
+the BiPoly form, for API callers: it converts g to a slice and f back,
+and checks the slice's k_const against `circle_average` of g.
 
 The complex basis z, zbar, where D(z^k zbar^l) = i (k - l) z^k zbar^l
 is diagonal, gives the same solution (Romanovski & Shafer, The Center
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .poly import (
     BiPoly,
@@ -54,6 +52,7 @@ from .poly import (
     X,
     Y,
     circle_average,
+    double_factorial,
     from_slice,
     slice_average,
     to_slice,
@@ -77,31 +76,6 @@ def apply_rotational(f: BiPoly | HomogeneousPoly) -> BiPoly:
     if isinstance(f, HomogeneousPoly):
         f = f.inner
     return X * f.diff_y() - Y * f.diff_x()
-
-
-def _sweep(a: list[int], g: list[int], n: int, ks: range, forward: bool) -> int:
-    """One parity chain of D a = g, written into `a` as numerators over
-    den * (the returned multiplier), den being g's denominator.
-
-    forward: a_(k+1) = ((n-k+1) a_(k-1) - g_k) / (k+1), from a zero entry;
-    backward: a_(k-1) = (g_k + (k+1) a_(k+1)) / (n-k+1), from a_(n+1) = 0.
-    """
-    prev, mult, written = 0, 1, []
-    for k in ks:
-        if forward:
-            prev = (n - k + 1) * prev - mult * g[k]
-            t, div = k + 1, k + 1
-        else:
-            prev = (k + 1) * prev + mult * g[k]
-            t, div = k - 1, n - k + 1
-        mult *= div
-        a[t] = prev
-        written.append((t, div))
-    scale = 1
-    for t, div in reversed(written):
-        a[t] *= scale
-        scale *= div
-    return mult
 
 
 def _add_radial(n: int, s: Slice, c: Fraction) -> Slice:
@@ -128,24 +102,26 @@ def solve_slice(n: int, g: Slice, gauge: Fraction | int = 0) -> tuple[Slice, Fra
     if k_const:
         nums, den = _add_radial(n, g, -k_const)
 
-    a = [0] * (n + 1)
-    odd_mult = _sweep(a, nums, n, range(0, n, 2), True)
+    # n!! (times (n-1)!! for even n) is a multiple of the product of the
+    # divisors either chain meets, so over den * mult every step divides exactly
+    mult = double_factorial(n) * (double_factorial(n - 1) if even else 1)
+    nums = [mult * v for v in nums]
+    den *= mult
+    a = [0] * (n + 2)  # a[n + 1] stays 0: it is both a_(-1) (read as a[-1]) and a_(n+1)
+    # forward: even k fix the odd-index a's; for even n, odd k fix the
+    # even-index a's from a_0 = 0 in the same pass
+    for k in range(0, n, 1 if even else 2):
+        a[k + 1] = ((n - k + 1) * a[k - 1] - nums[k]) // (k + 1)
     if even:
-        # the odd chain's last entry a_(n-1), over den * odd_mult (a_(-1) = 0 for n = 0)
-        last = a[n - 1] if n else 0
-        if nums[n] * odd_mult != last:
+        if nums[n] != a[n - 1]:
             raise AssertionError(
                 f"degree {n}: g_n = {Fraction(nums[n], den)} but a_(n-1) = "
-                f"{Fraction(last, den * odd_mult)} after removing the average {k_const}"
+                f"{Fraction(a[n - 1], den)} after removing the average {k_const}"
             )
-        even_mult = _sweep(a, nums, n, range(1, n, 2), True)
     else:
-        even_mult = _sweep(a, nums, n, range(n, 0, -2), False)
-    mult = lcm(odd_mult, even_mult)
-    up_odd, up_even = mult // odd_mult, mult // even_mult
-    for k in range(n + 1):
-        a[k] *= up_even if k % 2 == 0 else up_odd
-    den *= mult
+        for k in range(n, 0, -2):
+            a[k - 1] = (nums[k] + (k + 1) * a[k + 1]) // (n - k + 1)
+    del a[n + 1]
 
     if even:
         shift = Fraction(gauge) - slice_average(n, (a, den))

@@ -14,21 +14,19 @@ The recursion runs on the dense slices of ``poly``: a degree-n slice is
 ``(nums, den)``, integer numerators of x^k y^(n-k) over one positive
 denominator. The field's slices X_k, Y_k are converted once per call;
 the gradient of each H_j is taken once, when H_j is solved; the source
-of slice n is a sum of integer convolutions of those gradients with
-X_k and Y_k over the lcm of their denominators; `solve_slice` inverts
-D on it with one integer sweep per parity chain, each with a running
-multiplier in place of divisions; and the focus quantities are Wallis
-averages of slices. `_recursion` takes the source as a callable, so
-`structure.constants_quasihomogeneous` runs the same loop on its own
-chain source in the same format. `BiPoly` appears only at the edges:
-the field coming in, and `LyapunovResult.h_list` going out.
+of slice n is one `poly.slice_products` of those gradients with X_k and
+Y_k; `solve_slice` inverts D on it in exact integer divisions; and the
+focus quantities are Wallis averages of slices. `_recursion` takes the
+source as a callable, so `structure.constants_quasihomogeneous` runs the
+same loop on its own chain source in the same format. `BiPoly` appears
+only at the edges: the field coming in, and `LyapunovResult.h_list`
+going out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Literal, Sequence
 
 from .errors import NonNormalizedLinearPart, OrderTooSmall
@@ -38,6 +36,7 @@ from .homological import (
 )
 from .poly import (
     BiPoly,
+    Gradient,
     HomogeneousPoly,
     R2,
     Slice,
@@ -47,13 +46,12 @@ from .poly import (
     from_slice,
     homogeneous_components,
     slice_average,
+    slice_gradient,
+    slice_products,
     to_slice,
 )
 
 H2 = BiPoly({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
-
-# (d/dx numerators, d/dy numerators, shared denominator) of one H_j
-Gradient = tuple[list[int], list[int], int]
 
 # (n, H_j slices, H_j gradients) -> the degree-n slice of dV/dt
 Source = Callable[[int, dict[int, Slice], dict[int, Gradient]], Slice]
@@ -127,16 +125,6 @@ def _classify(v_list: Sequence[Fraction]):
     return "CenterCandidate", None
 
 
-def _gradient(n: int, s: Slice) -> Gradient:
-    """Both partial derivatives of a degree-n slice, over its denominator."""
-    a, den = s
-    return (
-        [(k + 1) * a[k + 1] for k in range(n)],
-        [(n - k) * a[k] for k in range(n)],
-        den,
-    )
-
-
 def _assemble_f(
     n: int,
     h: dict[int, Gradient],
@@ -146,8 +134,7 @@ def _assemble_f(
     """Degree-n slice of grad(V) . (X, Y) over the known H_j (j < n).
 
     `h` maps j to the gradient of H_j; each term H_j,x X_k or H_j,y Y_k
-    with k = n + 1 - j is an integer convolution, scaled to the lcm of
-    the term denominators.
+    with k = n + 1 - j is one product in `slice_products`.
     """
     terms = []
     for grad_index, field in ((0, xs), (1, ys)):
@@ -155,17 +142,7 @@ def _assemble_f(
             hj = h.get(n + 1 - k)
             if hj is not None:
                 terms.append((hj[grad_index], fk, hj[2] * fden))
-    den = lcm(*(t[2] for t in terms))
-    out = [0] * (n + 1)
-    for grad, fk, tden in terms:
-        scale = den // tden
-        for p, a in enumerate(grad):
-            if a:
-                a *= scale
-                for q, b in enumerate(fk, start=p):
-                    if b:
-                        out[q] += a * b
-    return out, den
+    return slice_products(n, terms)
 
 
 def _recursion(
@@ -188,13 +165,13 @@ def _recursion(
         raise OrderTooSmall(f"order {order} < 2")
     gauges = gauges or {}
     hs: dict[int, Slice] = {2: to_slice(H2, 2)}
-    grads: dict[int, Gradient] = {2: _gradient(2, hs[2])}
+    grads: dict[int, Gradient] = {2: slice_gradient(2, hs[2])}
     v_list: list[Fraction] = []
     for n in range(3, order + 2):
         nums, den = source(n, hs, grads)
         h_n, k_const = solve_slice(n, ([-c for c in nums], den), gauges.get(n, 0))
         hs[n] = h_n
-        grads[n] = _gradient(n, h_n)
+        grads[n] = slice_gradient(n, h_n)
         if n % 2 == 0:
             v_list.append(-k_const)
     if order % 2 == 0:

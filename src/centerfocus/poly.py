@@ -11,7 +11,10 @@ The symbolic hot path works on dense slices instead: a degree-n
 homogeneous polynomial as ``(nums, den)``, where ``nums[k]`` is the
 integer numerator of x^k y^(n-k) and ``den > 0`` the one denominator
 they share. ``to_slice`` and ``from_slice`` convert at the boundary;
-``wallis_weights`` is the one table of circle averages both forms read.
+``slice_gradient`` and ``slice_products`` are the slice arithmetic the
+Lyapunov sources are built from (partial derivatives, and sums of
+products over the lcm of their denominators); ``wallis_weights`` is the
+one table of circle averages both forms read.
 
 Float evaluation runs through generated straight-line code
 (``float_code``): one compiled function per polynomial, cached on the
@@ -32,6 +35,8 @@ from .errors import NonRealInput
 
 Scalar = Union[Fraction, int]
 Slice = tuple[list[int], int]  # (nums, den): nums[k] / den is the x^k y^(n-k) coefficient
+# (d/dx numerators, d/dy numerators, shared denominator) of one slice
+Gradient = tuple[list[int], list[int], int]
 
 
 def _grlex(key: tuple[int, int]) -> tuple[int, int]:
@@ -288,7 +293,37 @@ def from_slice(n: int, s: Slice) -> HomogeneousPoly:
     return HomogeneousPoly(n, p)
 
 
-def _double_factorial(n: int) -> int:
+def slice_gradient(n: int, s: Slice) -> Gradient:
+    """Both partial derivatives of a degree-n slice, over its denominator."""
+    a, den = s
+    return (
+        [(k + 1) * a[k + 1] for k in range(n)],
+        [(n - k) * a[k] for k in range(n)],
+        den,
+    )
+
+
+def slice_products(n: int, terms: Sequence[tuple[list[int], list[int], int]]) -> Slice:
+    """The degree-n slice sum of a * b / den over the terms (a, b, den).
+
+    a and b are numerator lists of two slices whose degrees add up to n;
+    each product is an integer convolution, scaled to the lcm of the
+    term denominators.
+    """
+    den = lcm(*(t_den for _, _, t_den in terms))
+    out = [0] * (n + 1)
+    for a, b, t_den in terms:
+        scale = den // t_den
+        for p, u in enumerate(a):
+            if u:
+                u *= scale
+                for q, v in enumerate(b, start=p):
+                    if v:
+                        out[q] += u * v
+    return out, den
+
+
+def double_factorial(n: int) -> int:
     # (-1)!! = 1 by convention
     result = 1
     while n > 1:
@@ -306,11 +341,11 @@ def wallis_weights(n: int) -> tuple[tuple[int, ...], int]:
     and 0 otherwise (so every weight of an odd degree is 0).
     """
     weights = tuple(
-        _double_factorial(i - 1) * _double_factorial(n - i - 1)
+        double_factorial(i - 1) * double_factorial(n - i - 1)
         if i % 2 == 0 and n % 2 == 0 else 0
         for i in range(n + 1)
     )
-    return weights, _double_factorial(n)
+    return weights, double_factorial(n)
 
 
 def slice_average(n: int, s: Slice) -> Fraction:

@@ -12,19 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import NotQuasiHomogeneous, ObstructionNonzeroAverage, OrderTooSmall
 from .homological import radial_power, solve_homological
-from .lyapunov import Gradient, LyapunovResult, PlanarField, Source, _gradient, _recursion
+from .lyapunov import LyapunovResult, PlanarField, Source, _recursion
 from .poly import (
     BiPoly,
+    Gradient,
     R2,
     Slice,
     X,
     Y,
     circle_average,
     homogeneous_components,
+    slice_gradient,
+    slice_products,
     to_complex,  # not called here; perfbench's tracer patches this name on this module
     to_slice,
 )
@@ -100,21 +102,12 @@ def quasihomogeneous_parts(field: PlanarField):
     return m, dec.h, dec.g, c
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Numerators of the product of two slices (over the product of their denominators)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for p, u in enumerate(a):
-        if u:
-            for q, v in enumerate(b, start=p):
-                out[q] += u * v
-    return out
-
-
 def _chain_source(m: int, h_top: BiPoly, g: BiPoly, c: Fraction, order: int) -> Source:
     """The degree-n slice {H_{m+1}, H_j} + g D H_j + c j r^(m-1) H_j,
     j = n + 1 - m, assembled from the parts (h, g, c) and H_j alone;
     zero unless j lies on the chain 2 + k(m-1)."""
-    top_x, top_y, top_den = _gradient(m + 1, to_slice(h_top, m + 1))
+    top_x, top_y, top_den = slice_gradient(m + 1, to_slice(h_top, m + 1))
+    neg_top_y = [-v for v in top_y]
     g_nums, g_den = to_slice(g, m - 1)
     rad = to_slice(radial_power(m - 1), m - 1)[0] if c else None
     chain = {2 + k * (m - 1) for k in range(order + 1)}
@@ -130,23 +123,15 @@ def _chain_source(m: int, h_top: BiPoly, g: BiPoly, c: Fraction, order: int) -> 
             d_hj[k + 1] += hy[k]
             d_hj[k] -= hx[k]
         terms = [
-            (_convolve(top_x, hy), top_den * h_den),
-            ([-v for v in _convolve(top_y, hx)], top_den * h_den),
-            (_convolve(g_nums, d_hj), g_den * h_den),
+            (top_x, hy, top_den * h_den),
+            (neg_top_y, hx, top_den * h_den),
+            (g_nums, d_hj, g_den * h_den),
         ]
         if c:
             hj_nums, hj_den = hs[j]
             scale = c.numerator * j
-            terms.append(
-                ([scale * v for v in _convolve(rad, hj_nums)], c.denominator * hj_den)
-            )
-        den = lcm(*(t_den for _, t_den in terms))
-        out = [0] * (n + 1)
-        for nums, t_den in terms:
-            up = den // t_den
-            for k, v in enumerate(nums):
-                out[k] += up * v
-        return out, den
+            terms.append(([scale * v for v in rad], hj_nums, c.denominator * hj_den))
+        return slice_products(n, terms)
 
     return source
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,66 @@ def test_cubic_qh_second_center_case():
     entry = get("cubic_qh", A=3, C=-7, L=1, N=-1)
     assert entry.extras["cases"] == ["ii"]
     assert compute_lyapunov(entry.field, 8).verdict == "CenterCandidate"
+
+
+def _cubic_case_i_point(rf):
+    """A rational point on case (i): c from V_1 = 0, d from the first clause
+    (linear in d), and k from the second clause once d is eliminated."""
+    while True:
+        a, b, l, m, n = (rf() for _ in range(5))
+        p, s = 3 * a + l, b + m
+        if p and s:
+            break
+    c = -(p + 3 * n)
+    # with d = 2 (a - n) s / p - (b + k + m), b + k - d - m = 2 (b + k - (a - n) s / p)
+    k = (a - n) * s / p - b - (a + n) * (p * p - s * s) / (p * s)
+    d = 2 * (a - n) * s / p - (b + k + m)
+    return dict(A=a, B=b, C=c, D=d, K=k, L=l, M=m, N=n)
+
+
+def _cubic_case_ii_point(rf):
+    """A rational point on case (ii): c, l from V_1 = 0 and the first clause,
+    b, m from the two linear clauses in them, d from the last clause."""
+    a, n, k = rf(), rf(), rf() or Fraction(1, 2)
+    d = (a + 3 * n) * (3 * a + n) / (16 * k)
+    return dict(
+        A=a, B=-4 * d - k, C=(-5 * a - n) / 2, D=d,
+        K=k, L=(-a - 5 * n) / 2, M=-d - 4 * k, N=n,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, sample", [("i", _cubic_case_i_point), ("ii", _cubic_case_ii_point)]
+)
+def test_cubic_qh_center_sets_are_centers(case, sample):
+    # rational points sampled on each case's variety are centers to order 10;
+    # moving D off it keeps V_1 = 0 but leaves a focus that no case claims
+    rng = random.Random(41 if case == "i" else 42)
+
+    def rf():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(4):
+        params = sample(rf)
+        entry = get("cubic_qh", **params)
+        assert case in entry.extras["cases"]
+        assert entry.expectations == {"CenterCandidate"}
+        assert compute_lyapunov(entry.field, 10).v_list == (0,) * 5
+        off = get("cubic_qh", **{**params, "D": params["D"] + 1})
+        assert off.extras["cases"] == []
+        res = compute_lyapunov(off.field, 10)
+        assert res.v_list[0] == 0 and res.verdict != "CenterCandidate"
+
+
+def test_kukles_parameters_land_on_their_monomials():
+    keys = {
+        "alpha": (2, 0), "beta": (0, 2), "gamma": (1, 1),
+        "K": (3, 0), "L": (2, 1), "M": (1, 2), "N": (0, 3),
+    }
+    for value, (key, (i, j)) in enumerate(keys.items(), start=2):
+        entry = get("kukles", **{key: value})
+        assert entry.field.p == -Y
+        assert entry.field.q == X + value * X**i * Y**j
 
 
 def test_chava23_invariant_conic_shares_r2_cofactor():

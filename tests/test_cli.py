@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centerfocus import PlanarField
+from centerfocus import PlanarField, bautin_classify, get
 from centerfocus.cli import main, parse_inverse_spec, parse_system, system_json
 from centerfocus.errors import DegreeMismatch, NonNormalizedLinearPart, ParseError
 
@@ -217,9 +217,10 @@ class TestOrderCap:
         assert "exceeds CF_MAX_DEGREE" in capsys.readouterr().err
 
     def test_at_cap_allowed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CF_MAX_DEGREE", "6")
         path = radial_cubic_file(tmp_path)
-        assert main(["analyze", "--input", path, "--order", "6", "--json"]) == 0
+        for cap in ("6", "2"):
+            monkeypatch.setenv("CF_MAX_DEGREE", cap)
+            assert main(["analyze", "--input", path, "--order", cap, "--json"]) == 0
         capsys.readouterr()
 
     def test_order_below_two_exits_1(self, tmp_path, capsys):
@@ -230,10 +231,11 @@ class TestOrderCap:
         capsys.readouterr()
 
     def test_bad_env_value_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CF_MAX_DEGREE", "many")
         path = radial_cubic_file(tmp_path)
-        assert main(["analyze", "--input", path, "--order", "4"]) == 2
-        assert "CF_MAX_DEGREE" in capsys.readouterr().err
+        for raw, want in (("many", "must be an integer"), ("1", "must be at least 2")):
+            monkeypatch.setenv("CF_MAX_DEGREE", raw)
+            assert main(["analyze", "--input", path, "--order", "4"]) == 2
+            assert f"CF_MAX_DEGREE {want}" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -330,6 +332,33 @@ class TestClassify:
         )
         assert main(["classify", "--input", path, "--c", "0.2,0.8"]) == 3
         assert "disagreement" in capsys.readouterr().err
+
+    def test_bautin_cases_with_lam2(self, tmp_path, capsys):
+        # (lam2, .., lam6) with lam2 != 0: two foci, case (iii), three points
+        # with lam5 = 0 (case (i) at lam4 = 0), and three case (iv) points
+        # lam6 = u^2, lam2 = uv, lam3 = 2u^2 + v^2, lam4 = -5 (lam3 - lam6)
+        points = [
+            ("-1/2", "1/4", "-1", "1", "1/2"),
+            ("1/2", "-2/3", "1", "-1/2", "-1/3"),
+            ("-1/4", "1", "1", "-1/2", "1"),
+            ("2/3", "1/2", "1/4", "0", "-4/3"),
+            ("1/2", "1/3", "0", "0", "-1/2"),
+            ("-1/3", "1/2", "1/2", "0", "1/4"),
+            ("1/4", "3/4", "-5/2", "0", "1/4"),
+            ("-1/6", "11/18", "-65/36", "0", "1/4"),
+            ("1/12", "41/144", "-125/144", "0", "1/9"),
+        ]
+        seen = set()
+        for lam in points:
+            entry = get("bautin", **dict(zip(("lam2", "lam3", "lam4", "lam5", "lam6"), lam)))
+            path = write_doc(tmp_path, "bautin.json", system_json("bautin", entry.field))
+            assert main(["classify", "--input", path, "--json"]) == 0
+            res = json.loads(capsys.readouterr().out)["results"]
+            want = sorted(bautin_classify(*(Fraction(v) for v in lam)))
+            assert res["quadratic"]["bautin_cases"] == want
+            assert (res["symbolic"]["verdict"] == "CenterCandidate(6)") == bool(want)
+            seen.update(want)
+        assert seen == {"i", "iii", "iv"}
 
     def test_hg_obstruction_reported(self, tmp_path, capsys):
         path = write_system(tmp_path, [{"i": 3, "j": 0, "c": 1}], [])

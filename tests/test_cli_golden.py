@@ -5,7 +5,8 @@ every invocation in CASES as the engine printed them at commit 118bc59,
 before the command handlers shared one report-and-print path;
 ``classify-stalled`` and ``classify-straddle`` were taken at commit
 0c8dca5, before ``numeric_classify`` integrated its grid in one batch,
-when every grid point still had its own return map. The input
+when every grid point still had its own return map;
+``classify-bautin-iv`` was taken at commit 500d549. The input
 documents live in `tests/data/cli/`; each case runs in a copy of that
 directory so the relative paths echoed into the reports stay the same.
 The stored bytes are the reference: when a case differs, the CLI changed.
@@ -34,6 +35,8 @@ CASES = {
     # cycle at r = 1/2 between the two section points
     "classify-stalled": ["classify", "--input", "stalled.json", "--c", "0.05,0.6"],
     "classify-straddle": ["classify", "--input", "straddle.json", "--c", "0.2,0.8"],
+    # a Bautin quadratic with lam2 != 0, on case (iv)
+    "classify-bautin-iv": ["classify", "--input", "bautin_iv.json"],
     "inverse-ham": ["inverse", "--spec", "ham.json", "--check-order", "8"],
     "inverse-m3": ["inverse", "--spec", "spec3.json", "--check-order", "6"],
     "darboux-plain": ["darboux", "--input", "uniso.json", "--curve", "line.json"],

@@ -88,7 +88,14 @@ def test_radial_power_odd_rejected():
         radial_power(3)
 
 
-fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+BIG = 2**200
+# Mersenne primes 2^61 - 1, 2^127 - 1 and 2^521 - 1
+LARGE_PRIMES = (2**61 - 1, 2**127 - 1, 2**521 - 1)
+fractions = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(LARGE_PRIMES)),
+)
 
 
 @st.composite
@@ -145,7 +152,9 @@ def test_radial_power_matches_r2_powers():
 
 def test_solve_checks_survive_optimize():
     # a wrong circle average must trip the wrapper's check against the
-    # resonant part the slice solve splits off, also with asserts compiled out
+    # resonant part the slice solve splits off, and a wrong slice average
+    # the slice solve's own even-degree compatibility check, also with
+    # asserts compiled out
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
@@ -161,6 +170,14 @@ def test_solve_checks_survive_optimize():
                 print(degree, "raised")
             else:
                 print(degree, "returned")
+        hom.slice_average = lambda n, s: Fraction(1, 3)
+        for degree in (2, 4, 10):
+            try:
+                hom.solve_slice(degree, (list(range(1, degree + 2)), 1))
+            except AssertionError:
+                print(degree, "slice raised")
+            else:
+                print(degree, "slice returned")
         print("optimize", sys.flags.optimize)
     """)
     src = Path(centerfocus.__file__).resolve().parents[1]
@@ -170,5 +187,6 @@ def test_solve_checks_survive_optimize():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.splitlines() == [
-        "2 raised", "3 raised", "4 raised", "7 raised", "optimize 1",
+        "2 raised", "3 raised", "4 raised", "7 raised",
+        "2 slice raised", "4 slice raised", "10 slice raised", "optimize 1",
     ]

@@ -101,6 +101,17 @@ def test_find_equilibria_quartic():
     assert any(abs(x + 1.0) < 1e-6 and abs(y) < 1e-6 for x, y in found)
 
 
+def test_find_equilibria_default_box():
+    # x' = -y, y' = x (1 - x/1.9) (1 - x/2.1): rest points at x = 0, 1.9
+    # and 2.1 on y = 0; the default box [-2, 2]^2 holds only the first two
+    field = nl_field({}, {(2, 0): Fraction(-400, 399), (3, 0): Fraction(100, 399)})
+    found = find_equilibria(field)
+    assert len(found) == 2
+    assert abs(found[0][0]) < 1e-10 and abs(found[0][1]) < 1e-10
+    assert abs(found[1][0] - 1.9) < 1e-10 and abs(found[1][1]) < 1e-10
+    assert any(abs(x - 2.1) < 1e-10 for x, _ in find_equilibria(field, (-3.0, 3.0, -3.0, 3.0)))
+
+
 def test_find_equilibria_skips_overflowing_seeds():
     # x' = -y + x^40, y' = x + y^40: Newton starts that run off in y
     # overflow y**40 and must be dropped like a singular Jacobian
