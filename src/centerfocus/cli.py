@@ -41,6 +41,7 @@ from .inverse import (
 )
 from .lyapunov import H2, PlanarField, compute_lyapunov
 from .numeric import (
+    SECTION_ABS,
     CenterLike,
     IntegratorConfig,
     integrate,
@@ -287,7 +288,7 @@ def _run_batch(paths, jobs: int, worker):
 
 
 def _tolerances(cfg: IntegratorConfig) -> dict:
-    return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "section_abs": 1e-13}
+    return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "section_abs": SECTION_ABS}
 
 
 def _load_system(path: str) -> tuple[str, str, PlanarField]:
@@ -523,15 +524,13 @@ def _cmd_darboux(args) -> int:
         if lam == 1:
             # at lambda 1 the integral is H_2 exp(-g); the file holds g
             g = curve
-            form = "Exponential"
         else:
             if curve.coeff(0, 0) != 1:
                 raise PreconditionFailed(
                     "curve must have constant term 1 to recover the multiplier"
                 )
             g = (curve - 1) * (Fraction(1) / (1 - lam))
-            form = "Rational" if lam.numerator == 1 else "Power"
-        verified = verify_darboux(field, DarbouxCandidate(g=g, lam=lam, form=form))
+        verified = verify_darboux(field, DarbouxCandidate(g=g, lam=lam))
         results["lambda"] = str(lam)
         results["darboux_verified"] = verified
         lines.append(f"candidate (lambda {lam}): {'verified' if verified else 'FAILED'}")

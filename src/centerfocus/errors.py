@@ -17,10 +17,6 @@ class OrderTooSmall(CenterFocusError):
     """Requested Lyapunov order below 2."""
 
 
-class NotQuasiHomogeneous(CenterFocusError):
-    """Nonlinear part is not concentrated in a single degree."""
-
-
 class ObstructionNonzeroAverage(CenterFocusError):
     """An even-degree divergence slice has nonzero circle average.
 
@@ -48,6 +44,10 @@ class ZeroCurve(CenterFocusError):
 
 class PreconditionFailed(CenterFocusError):
     """A documented operation precondition does not hold."""
+
+
+class NotQuasiHomogeneous(PreconditionFailed):
+    """Nonlinear part is not concentrated in a single degree."""
 
 
 class StepFailure(CenterFocusError):

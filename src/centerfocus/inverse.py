@@ -23,7 +23,7 @@ from .lyapunov import (
     _assemble_f,  # not called here; perfbench's tracer patches this name on this module
 )
 from .poly import BiPoly, R2, X, Y, poisson_bracket
-from .structure import weak_center_check
+from .structure import _qh_slices, weak_center_check
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,17 @@ def build_field(spec: InverseSpec) -> PlanarField:
 def complementary_residuals(spec: InverseSpec, up_to: int) -> list[BiPoly]:
     """Degree-(n+2) slices of dV/dt for n = m..up_to.
 
-    V = H_2 + ... + H_{up_to+2} continues past the prescribed H's by the
-    forward recursion with zero gauges, and dV/dt is taken along the
-    built field as a whole polynomial, as `lyapunov.residual` does. Its
-    slice at degree n+2 collapses to V_{n/2} (x^2+y^2)^(n/2+1) for even
-    n and vanishes for odd n. All residuals zero through up_to certifies
-    V is a first integral to that order.
+    V = H_2 + ... + H_{up_to+2} is the forward recursion's own series on
+    the built field, with zero gauges: every H_j comes from the
+    recursion, the prescribed degrees included, so where a prescribed
+    even-degree H_j has a nonzero circle average the recursion's H_j
+    differs from it. dV/dt is taken along the built field as a whole
+    polynomial, as `lyapunov.residual` does. Its slice at degree n+2
+    collapses to V_{n/2} (x^2+y^2)^(n/2+1) for even n and vanishes for
+    odd n. The first nonzero V_k does not depend on the gauges, so
+    neither does the zero pattern up to the first nonzero residual. All
+    residuals zero through up_to certifies V is a first integral to that
+    order.
     """
     field = build_field(spec)
     v = lyapunov_function(compute_lyapunov(field, max(up_to + 1, 2)))
@@ -110,13 +115,17 @@ class DarbouxCandidate:
 
     g: BiPoly
     lam: Fraction
-    form: Literal["Power", "Exponential", "Rational"]
 
     def __post_init__(self):
-        if self.form == "Power" and self.lam in (0, 1):
-            raise ValueError("Power form needs lambda outside {0, 1}")
-        if self.form == "Rational" and self.lam.numerator != 1:
-            raise ValueError("Rational form needs lambda = 1/m")
+        if self.lam == 0:
+            raise ValueError("the family degenerates at lambda = 0")
+
+    @property
+    def form(self) -> Literal["Power", "Exponential", "Rational"]:
+        """H_2 exp(-g) at lambda = 1, rational at lambda = 1/m, else a power."""
+        if self.lam == 1:
+            return "Exponential"
+        return "Rational" if self.lam.numerator == 1 else "Power"
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,8 @@ def weak_center_family(
 ) -> tuple[PlanarField, DarbouxCandidate]:
     """The one-parameter family with H_{m+1} = -lambda H_2 g_{m-1}.
 
+    `build_field` on H = (H_2, 0, ..., H_{m+1}), g = (1, 0, ..., g_top):
+
         x' = lambda H_2 d_y g - y (1 + (1 - lambda) g)
         y' = -lambda H_2 d_x g + x (1 + (1 - lambda) g)
 
@@ -145,28 +156,19 @@ def weak_center_family(
     lam = Fraction(lam)
     if lam == 0:
         raise LambdaZero("the family degenerates at lambda = 0")
-    if not g_top.is_zero() and not (
-        g_top.is_homogeneous() and g_top.degree() == m - 1
-    ):
-        raise DegreeMismatch(f"multiplier must be homogeneous of degree {m - 1}")
     nu = Fraction(nu)
-    scale = 1 + (1 - lam) * g_top
-    p = H2 * g_top.diff_y() * lam - Y * scale
-    q = H2 * g_top.diff_x() * (-lam) + X * scale
+    h_top = H2 * g_top * (-lam)
     if nu:
         if m % 2 == 0:
             raise DegreeMismatch("the nu branch needs odd m")
-        extra = H2 ** ((m - 1) // 2 + 1) * nu
-        p = p - extra.diff_y()
-        q = q + extra.diff_x()
-    field = PlanarField(p=p, q=q)
-    if lam == 1:
-        form: Literal["Power", "Exponential", "Rational"] = "Exponential"
-    elif lam.numerator == 1:
-        form = "Rational"
-    else:
-        form = "Power"
-    return field, DarbouxCandidate(g=g_top, lam=lam, form=form)
+        h_top = h_top + H2 ** ((m + 1) // 2) * nu
+    zeros = (BiPoly(),) * (m - 2)
+    spec = InverseSpec(
+        m=m,
+        h_list=(H2,) + zeros + (h_top,),
+        g_list=(BiPoly.constant(1),) + zeros + (g_top,),
+    )
+    return build_field(spec), DarbouxCandidate(g=g_top, lam=lam)
 
 
 def _poly_divide(num: BiPoly, den: BiPoly) -> BiPoly | None:
@@ -225,16 +227,10 @@ def devlin_integral(field: PlanarField) -> tuple[BiPoly, BiPoly]:
     the identity X(num) (x^2+y^2) = m num X(x^2+y^2) which is exactly
     X(F) = 0 cleared of denominators.
     """
-    xs, ys = field.nonlinear_slices()
-    degs = sorted(set(xs) | set(ys))
-    if len(degs) != 1:
-        raise PreconditionFailed("field must have a single nonlinear degree")
-    m = degs[0]
+    m, xm, ym = _qh_slices(field)
     wc = weak_center_check(field)
     if wc is None or wc.mu != 2 * m:
         raise PreconditionFailed(f"needs mu = {2 * m}, found {wc and wc.mu}")
-    xm = xs.get(m, BiPoly())
-    ym = ys.get(m, BiPoly())
     num = R2 + 2 * (X * ym - Y * xm)
     den = R2**m
     lhs = field.derivative_along(num) * R2
@@ -245,8 +241,5 @@ def devlin_integral(field: PlanarField) -> tuple[BiPoly, BiPoly]:
 
 
 def hamiltonian_mismatch(spec: InverseSpec) -> BiPoly:
-    """sum_j {Psi_j, g_{m+1-j}}; zero iff the built field is Hamiltonian."""
-    total = BiPoly()
-    for j in range(2, spec.m + 2):
-        total = total + poisson_bracket(spec.psi(j), spec.g(spec.m + 1 - j))
-    return total
+    """sum_j {Psi_j, g_{m+1-j}} = div of the built field; zero iff Hamiltonian."""
+    return build_field(spec).divergence()

@@ -96,6 +96,10 @@ class PlanarField:
         """dv/dt along the field: v_x p + v_y q."""
         return v.diff_x() * self.p + v.diff_y() * self.q
 
+    def divergence(self) -> BiPoly:
+        """p_x + q_y; the linear rotation contributes nothing."""
+        return self.p.diff_x() + self.q.diff_y()
+
 
 Verdict = Literal["CenterCandidate", "StableFocus", "UnstableFocus"]
 

@@ -56,6 +56,8 @@ TWO_PI = 2.0 * math.pi
 # not bit for bit, so near tol they could fall on different sides
 GUARD_REL = 0.5
 GUARD_ABS = 1e-11
+# |y| at which a refined first-return crossing counts as on the section
+SECTION_ABS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     t_cur = t_star
     for _ in range(8):
         x_val, y_val, _ = sol.sol(t_cur).tolist()
-        if abs(y_val) <= 1e-13:
+        if abs(y_val) <= SECTION_ABS:
             break
         with _float_range():
             ydot = pq(x_val, y_val)[1]
@@ -221,7 +223,7 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
             break
         t_cur -= y_val / ydot
     xy = sol.sol(t_cur)
-    if abs(xy[1]) > 1e-13:
+    if abs(xy[1]) > SECTION_ABS:
         # fall back to a bracketed root; y < 0 just before the crossing
         for h in (0.01, 0.05, 0.2):
             lo, hi = t_star - h, t_star + h

@@ -51,9 +51,8 @@ def hg_decompose(field: PlanarField) -> HGDecomposition:
     exactly.
     """
     xs, ys = field.nonlinear()
-    div = xs.diff_x() + ys.diff_y()
     g = BiPoly()
-    for comp in homogeneous_components(div):
+    for comp in homogeneous_components(field.divergence()):
         sol = solve_homological(comp)
         if sol.k_const:
             raise ObstructionNonzeroAverage(comp.degree, sol.k_const)
@@ -91,10 +90,10 @@ def quasihomogeneous_parts(field: PlanarField):
     circle average of the divergence over m + 1; hg_decompose splits what
     is left once the radial term is removed.
     """
-    m, xm, ym = _qh_slices(field)
+    m, _, _ = _qh_slices(field)
     c = Fraction(0)
     if m % 2:
-        c = circle_average(xm.diff_x() + ym.diff_y()) / (m + 1)
+        c = circle_average(field.divergence()) / (m + 1)
     if c:
         rad = radial_power(m - 1) * c
         field = PlanarField(p=field.p - X * rad, q=field.q - Y * rad)
@@ -167,7 +166,7 @@ def weak_center_check(field: PlanarField) -> WeakCenterResult | None:
     condition: every even-degree slice of x X + y Y averages to zero.
     """
     xs, ys = field.nonlinear()
-    lhs = R2 * (xs.diff_x() + ys.diff_y())
+    lhs = R2 * field.divergence()
     s = X * xs + Y * ys
     integral_ok = all(
         circle_average(comp) == 0
@@ -209,7 +208,7 @@ def detect_symmetries(field: PlanarField) -> SymmetryReport:
     rev_x = all(j % 2 == 1 for _, j in x_exps) and all(j % 2 == 0 for _, j in y_exps)
     rev_y = all(i % 2 == 0 for i, _ in x_exps) and all(i % 2 == 1 for i, _ in y_exps)
     cr = xs.diff_x() == ys.diff_y() and xs.diff_y() == -ys.diff_x()
-    ham = (field.p.diff_x() + field.q.diff_y()).is_zero()
+    ham = field.divergence().is_zero()
     return SymmetryReport(
         rev_x_axis=rev_x, rev_y_axis=rev_y, cauchy_riemann=cr, hamiltonian=ham
     )

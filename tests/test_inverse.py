@@ -5,6 +5,7 @@ import pytest
 
 from centerfocus import (
     BiPoly,
+    DarbouxCandidate,
     DegreeMismatch,
     H2,
     InverseSpec,
@@ -111,8 +112,8 @@ def test_residuals_are_the_focus_quantities():
 
 def test_mismatch_tracks_divergence():
     rng = random.Random(33)
-    for _ in range(10):
-        m = rng.choice([2, 3])
+    for _ in range(16):
+        m = rng.choice([2, 3, 4, 5])
         h_list = (H2,) + tuple(random_homogeneous(rng, d) for d in range(3, m + 2))
         g_list = (BiPoly.constant(1),) + tuple(
             random_homogeneous(rng, d) for d in range(1, m)
@@ -120,7 +121,10 @@ def test_mismatch_tracks_divergence():
         spec = InverseSpec(m=m, h_list=h_list, g_list=g_list)
         field = build_field(spec)
         div = field.p.diff_x() + field.q.diff_y()
-        assert div.is_zero() == hamiltonian_mismatch(spec).is_zero()
+        brackets = BiPoly()
+        for j in range(2, m + 2):
+            brackets = brackets + poisson_bracket(spec.psi(j), spec.g(m + 1 - j))
+        assert hamiltonian_mismatch(spec) == brackets == div
 
 
 class TestWeakCenterFamily:
@@ -142,15 +146,29 @@ class TestWeakCenterFamily:
         assert weak_center_family(2, Fraction(1, 3), g)[1].form == "Rational"
         assert weak_center_family(2, Fraction(2, 3), g)[1].form == "Power"
         assert weak_center_family(2, -2, g)[1].form == "Power"
+        for lam, form in (
+            (1, "Exponential"),
+            (Fraction(1, 3), "Rational"),
+            (Fraction(-1, 3), "Power"),
+            (Fraction(2, 3), "Power"),
+            (-2, "Power"),
+        ):
+            assert DarbouxCandidate(g, Fraction(lam)).form == form
+        with pytest.raises(ValueError):
+            DarbouxCandidate(g, Fraction(0))
 
     def test_field_shape_quadratic(self):
-        lam = Fraction(1, 2)
-        g = 2 * X - 3 * Y
-        field, cand = weak_center_family(2, lam, g)
-        scale = 1 + (1 - lam) * g
-        assert field.p == H2 * g.diff_y() * lam - Y * scale
-        assert field.q == -(H2 * g.diff_x() * lam) + X * scale
-        assert cand.g == g and cand.lam == lam
+        rng = random.Random(36)
+        for m in (2, 3, 4, 5, 6):
+            for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(-2)):
+                g = random_homogeneous(rng, m - 1)
+                nu = rand_frac(rng, nonzero=True) if m % 2 else 0
+                field, cand = weak_center_family(m, lam, g, nu=nu)
+                scale = 1 + (1 - lam) * g
+                extra = H2 ** ((m + 1) // 2) * nu
+                assert field.p == H2 * g.diff_y() * lam - Y * scale - extra.diff_y()
+                assert field.q == -(H2 * g.diff_x() * lam) + X * scale + extra.diff_x()
+                assert cand.g == g and cand.lam == lam
 
     def test_certificates_hold(self):
         rng = random.Random(34)

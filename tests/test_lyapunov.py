@@ -8,6 +8,7 @@ import centerfocus.lyapunov as lyapunov_module
 from centerfocus import (
     H2,
     BiPoly,
+    InverseSpec,
     NonNormalizedLinearPart,
     NotQuasiHomogeneous,
     OrderTooSmall,
@@ -15,6 +16,7 @@ from centerfocus import (
     R2,
     X,
     Y,
+    build_field,
     circle_average,
     compute_lyapunov,
     constants_quasihomogeneous,
@@ -282,6 +284,23 @@ def test_qh_specialization_matches_general_recursion():
         assert fast.v_list == slow.v_list
         assert fast.h_list == slow.h_list
         assert fast.verdict == slow.verdict
+
+
+def test_quasihomogeneous_parts_invert_build_field():
+    # without a radial term the parts are inverse data: H = (H_2, 0, ..., h),
+    # g = (1, 0, ..., g) builds the field back
+    rng = random.Random(106)
+    for m in range(2, 8):
+        field = qh_field(rng, m, 0)
+        m_out, h, g, c = quasihomogeneous_parts(field)
+        assert (m_out, c) == (m, 0)
+        zeros = (BiPoly(),) * (m - 2)
+        spec = InverseSpec(
+            m=m,
+            h_list=(H2,) + zeros + (h,),
+            g_list=(BiPoly.constant(1),) + zeros + (g,),
+        )
+        assert build_field(spec) == field
 
 
 def test_quasihomogeneous_parts_reconstruct_odd_degree():
