@@ -10,6 +10,7 @@ as a float hint, and identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,7 +37,6 @@ from .inverse import (
     build_field,
     complementary_residuals,
     find_cofactor,
-    hamiltonian_mismatch,
     verify_darboux,
 )
 from .lyapunov import H2, PlanarField, compute_lyapunov
@@ -365,13 +365,7 @@ def _classify_one(
         f"symbolic:  {res.describe()}  V = [{', '.join(str(v) for v in res.v_list)}]",
     ]
 
-    sym = detect_symmetries(field)
-    symmetries = {
-        "rev_x_axis": sym.rev_x_axis,
-        "rev_y_axis": sym.rev_y_axis,
-        "cauchy_riemann": sym.cauchy_riemann,
-        "hamiltonian": sym.hamiltonian,
-    }
+    symmetries = dataclasses.asdict(detect_symmetries(field))
     flags = [k for k, v in symmetries.items() if v]
     lines.append(f"symmetry:  {', '.join(flags) if flags else 'none detected'}")
 
@@ -472,7 +466,7 @@ def _cmd_inverse(args) -> int:
     name, spec = parse_inverse_spec(text)
     field = build_field(spec)
     residuals = complementary_residuals(spec, args.check_order)
-    mismatch = hamiltonian_mismatch(spec)
+    mismatch = field.divergence()
     orders = range(spec.m, args.check_order + 1)
     results = {
         "system": system_json(name, field),

@@ -28,7 +28,7 @@ from .structure import _qh_slices, weak_center_check
 
 @dataclass(frozen=True)
 class InverseSpec:
-    """Prescribed data: H_2..H_{m+1} and g_0..g_{m-1}, H_2 = (x^2+y^2)/2."""
+    """Prescribed data: H_2..H_{m+1} and g_0..g_{m-1}, H_2 = (x^2+y^2)/2, g_0 = 1."""
 
     m: int
     h_list: tuple[BiPoly, ...]  # H_2, H_3, ..., H_{m+1}
@@ -47,6 +47,8 @@ class InverseSpec:
             )
         if self.h_list[0] != H2:
             raise DegreeMismatch("H_2 must be (x^2+y^2)/2")
+        if self.g_list[0] != BiPoly.constant(1):
+            raise DegreeMismatch("g_0 must be the constant 1")
         for d, h in enumerate(self.h_list, start=2):
             if not h.is_zero() and not (h.is_homogeneous() and h.degree() == d):
                 raise DegreeMismatch(f"H_{d} is not homogeneous of degree {d}")
@@ -74,8 +76,6 @@ def build_field(spec: InverseSpec) -> PlanarField:
     With g_0 = 1 the linear part is exactly (-y, x). Note {f, x} = -f_y
     and {f, y} = f_x.
     """
-    if spec.g(0) != BiPoly.constant(1):
-        raise DegreeMismatch("g_0 must be the constant 1")
     p = BiPoly()
     q = BiPoly()
     for j in range(2, spec.m + 2):

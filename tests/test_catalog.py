@@ -96,6 +96,24 @@ def test_param_coercion_and_defaults():
     assert all(isinstance(v, Fraction) for v in entry.params.values())
 
 
+@pytest.mark.parametrize("sig", list_families(), ids=lambda sig: sig.name)
+def test_params_follow_the_declared_signature(sig):
+    sample = SAMPLE_PARAMS.get(sig.name, {})
+    entry = get(sig.name, **sample)
+    assert tuple(entry.params) == tuple(key for key, _ in sig.params)
+    assert all(isinstance(v, Fraction) for v in entry.params.values())
+    assert entry.params == {
+        key: Fraction(sample[key]) if key in sample else default
+        for key, default in sig.params
+    }
+    with pytest.raises(UnknownName):
+        get(sig.name, **sample, undeclared=1)
+    for key, default in sig.params:
+        if default is None:
+            with pytest.raises(MissingParam):
+                get(sig.name, **{k: v for k, v in sample.items() if k != key})
+
+
 def test_unknown_family():
     with pytest.raises(UnknownName):
         get("lorenz")

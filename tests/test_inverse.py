@@ -62,13 +62,12 @@ class TestInverseSpecValidation:
             )
 
     def test_g0_must_be_one(self):
-        spec = InverseSpec(
-            m=2,
-            h_list=(H2, BiPoly()),
-            g_list=(BiPoly.constant(2), BiPoly()),
-        )
         with pytest.raises(DegreeMismatch):
-            build_field(spec)
+            InverseSpec(
+                m=2,
+                h_list=(H2, BiPoly()),
+                g_list=(BiPoly.constant(2), BiPoly()),
+            )
 
 
 def test_build_field_pure_hamiltonian():
