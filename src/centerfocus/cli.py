@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -282,6 +281,8 @@ def _param_pair(raw: str) -> tuple[str, str]:
 
 def _run_batch(paths, jobs: int, worker):
     if jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, paths))
     return [worker(path) for path in paths]

@@ -26,6 +26,13 @@ state: the values are bit for bit those of the plain term loop, so
 orbits, return maps and periods do not depend on the kernel. A field
 that leaves the float range (``x**e`` overflowing) or an angle equation
 evaluated at the origin ends in ``StepFailure``.
+
+SciPy is imported on the first integration, not with this module, so
+the symbolic engine and its commands run without loading it.
+``solve_ivp`` and ``brentq`` are module-level functions that import
+SciPy's own and forward to it: the integrators here look them up as
+module globals at call time, so a wrapper set on this module (as
+perfbench's tracer does) sees every call.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     AngleStalled,
@@ -70,6 +75,20 @@ class IntegratorConfig:
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0.0 < tol <= 1e-2:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
 
 
 @contextlib.contextmanager

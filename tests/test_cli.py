@@ -1,11 +1,17 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import centerfocus
 from centerfocus import PlanarField, bautin_classify, get
 from centerfocus.cli import main, parse_inverse_spec, parse_system, system_json
 from centerfocus.errors import DegreeMismatch, NonNormalizedLinearPart, ParseError
@@ -534,3 +540,49 @@ class TestCatalogCommand:
     def test_decimal_param_exits_2(self, capsys):
         assert main(["catalog", "get", "bautin", "--param", "lam5=0.5"]) == 2
         assert "decimal" in capsys.readouterr().err
+
+
+CLI_DATA = Path(__file__).parent / "data" / "cli"
+
+
+def scipy_loaded_after(argv):
+    """Run centerfocus.cli.main(argv), or only import the package when argv
+    is None, in a fresh interpreter with this one's -O level; return its
+    exit status and whether SciPy was imported."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        argv = json.loads(sys.argv[1])
+        if argv is None:
+            import centerfocus
+            status = 0
+        else:
+            from centerfocus.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(argv)
+        print(json.dumps([status, "scipy" in sys.modules]))
+    """)
+    src = Path(centerfocus.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    flags = ["-O"] * sys.flags.optimize
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script, json.dumps(argv)],
+        cwd=CLI_DATA, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return tuple(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["analyze", "--input", "bautin.json", "--order", "12"],
+    ["inverse", "--spec", "ham.json", "--check-order", "8"],
+    ["darboux", "--input", "uniso.json", "--curve", "line.json"],
+    ["catalog", "list"],
+    ["catalog", "get", "bautin", "--param", "lam5=1/2"],
+], ids=["import", "analyze", "inverse", "darboux", "catalog-list", "catalog-get"])
+def test_symbolic_commands_never_load_scipy(argv):
+    assert scipy_loaded_after(argv) == (0, False)
+
+
+def test_classify_loads_scipy():
+    # the probe above can see SciPy: a float integration imports it
+    assert scipy_loaded_after(["classify", "--input", "bautin.json"]) == (0, True)

@@ -346,3 +346,45 @@ def test_tol_in_guard_band_uses_return_map(monkeypatch):
     calls = count_return_maps(monkeypatch)
     assert numeric_classify(field, GRID, tol=tol) == FocusLike(sign=1)
     assert calls == list(GRID)
+
+
+# perfbench's tracer replaces numeric.solve_ivp and numeric.brentq with
+# setattr: its numeric.solve_ivp span and its rhs_evals/steps counters see
+# only the calls that look those names up on the module. Binding SciPy's
+# functions under another name would blind them with nothing else failing.
+
+
+def test_integrators_call_solve_ivp_through_the_module(monkeypatch):
+    methods = []
+    original = numeric.solve_ivp
+
+    def counted(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "solve_ivp", counted)
+    integrate(harmonic(), 1.0, 0.0, 1.0)
+    return_map(radial_cubic(), 0.1)
+    period(harmonic(), 0.1)
+    assert methods == ["RK45"] * 3
+    calls = count_return_maps(monkeypatch)
+    assert numeric_classify(radial_cubic(), GRID) == FocusLike(sign=1)
+    assert calls == []  # the batch decided: one DOP853 integration, no return map
+    assert methods[3:] == ["DOP853"]
+
+
+def test_section_fallback_calls_brentq_through_the_module(monkeypatch):
+    want = return_map(radial_cubic(), 0.1).delta
+    brackets = []
+    original = numeric.brentq
+
+    def counted(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return original(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(numeric, "brentq", counted)
+    # no Newton iterate counts as on the section: the bracketed root decides
+    monkeypatch.setattr(numeric, "SECTION_ABS", -1.0)
+    got = return_map(radial_cubic(), 0.1).delta
+    assert len(brackets) == 1
+    assert abs(got - want) < 1e-12
