@@ -258,8 +258,10 @@ def sympy_lyapunov(field, order):
         sol = sol[0]
         v_fn = v_fn + h_n.subs(sol)
         if n % 2 == 0:
-            val = sp.nsimplify(sol[vk])
-            out.append(Fraction(int(sp.numer(val)), int(sp.denom(val))))
+            # the slice system is rational, so V_k is an exact Rational;
+            # nsimplify would rewrite some rationals as products of radicals
+            val = sp.Rational(sol[vk])
+            out.append(Fraction(int(val.p), int(val.q)))
     return out[: order // 2]
 
 

@@ -117,7 +117,15 @@ def _sympy_seed_fields():
 def _with_seed_examples(test):
     for field in _sympy_seed_fields():
         test = example(field=field, order=4)(test)
-    return test
+    # a homogeneous quartic whose V_3 = -1199/512 is a rational that
+    # sympy's nsimplify turns into a product of radicals
+    quartic = nl_field(
+        {(4, 0): Fraction(3), (3, 1): Fraction(-5, 2), (2, 2): Fraction(-1, 3),
+         (1, 3): Fraction(1, 4), (0, 4): Fraction(5, 3)},
+        {(4, 0): Fraction(5, 2), (3, 1): Fraction(-1), (2, 2): Fraction(2),
+         (1, 3): Fraction(-1, 3), (0, 4): Fraction(-1)},
+    )
+    return example(field=quartic, order=6)(test)
 
 
 @settings(max_examples=15, deadline=None)
