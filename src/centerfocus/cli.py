@@ -666,7 +666,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it,
+    # and rebuilding it took about a fifth of an in-process classify call.
+    # The handlers and type= callables are bound on the first call, so
+    # rebinding them in this module afterwards does not reach the parser.
     parser = _Parser(prog="centerfocus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

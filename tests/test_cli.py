@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import centerfocus
 from centerfocus import PlanarField, bautin_classify, get
-from centerfocus.cli import main, parse_inverse_spec, parse_system, system_json
+from centerfocus.cli import build_parser, main, parse_inverse_spec, parse_system, system_json
 from centerfocus.errors import DegreeMismatch, NonNormalizedLinearPart, ParseError
+from test_cli_golden import ALL_CASES, enter_replay_dir, load_golden, run_case
 
 LINEAR_X = [{"i": 0, "j": 1, "c": -1}]
 LINEAR_Y = [{"i": 1, "j": 0, "c": 1}]
@@ -586,3 +587,32 @@ def test_symbolic_commands_never_load_scipy(argv):
 def test_classify_loads_scipy():
     # the probe above can see SciPy: a float integration imports it
     assert scipy_loaded_after(["classify", "--input", "bautin.json"]) == (0, True)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leave state in
+    it that changes a later call."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_golden_replays_twice_around_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        golden = load_golden()
+        enter_replay_dir(tmp_path, monkeypatch)
+        usage = []
+        for _ in range(2):
+            for name, argv in sorted(ALL_CASES.items()):
+                assert run_case(argv, capsys) == golden[name], name
+            usage.append(run_case(["classify"], capsys))
+        assert usage[0]["exit"] == 1
+        assert "the following arguments are required: --input" in usage[0]["stderr"]
+        assert usage[1] == usage[0]
+
+    def test_help_is_stable(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]

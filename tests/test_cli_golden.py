@@ -79,9 +79,21 @@ def run_case(argv, capsys) -> dict:
     return {"exit": code, "stdout": captured.out, "stderr": captured.err}
 
 
+def load_golden() -> dict:
+    return json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def enter_replay_dir(tmp_path, monkeypatch) -> None:
+    """Run from a copy of tests/data/cli under the default degree cap."""
+    monkeypatch.delenv("CF_MAX_DEGREE", raising=False)
+    for src in (DATA / "cli").iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads((DATA / "cli_golden.json").read_text(encoding="utf-8"))
+    return load_golden()
 
 
 def test_golden_covers_every_case(golden):
@@ -90,10 +102,7 @@ def test_golden_covers_every_case(golden):
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_cli_bytes_match_golden(name, golden, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CF_MAX_DEGREE", raising=False)
-    for src in (DATA / "cli").iterdir():
-        shutil.copy(src, tmp_path / src.name)
-    monkeypatch.chdir(tmp_path)
+    enter_replay_dir(tmp_path, monkeypatch)
     got = run_case(ALL_CASES[name], capsys)
     want = golden[name]
     assert got["exit"] == want["exit"]

@@ -112,6 +112,13 @@ def test_find_equilibria_default_box():
     assert any(abs(x - 2.1) < 1e-10 for x, _ in find_equilibria(field, (-3.0, 3.0, -3.0, 3.0)))
 
 
+def test_find_equilibria_keeps_a_rest_point_on_the_box_edge():
+    # x' = -y, y' = x (1 - x/2): the rest point (2, 0) lies on the default
+    # box's edge, which the box filter must keep
+    found = find_equilibria(nl_field({}, {(2, 0): Fraction(-1, 2)}))
+    assert any(abs(x - 2.0) < 1e-12 and abs(y) < 1e-10 for x, y in found)
+
+
 def test_find_equilibria_skips_overflowing_seeds():
     # x' = -y + x^40, y' = x + y^40: Newton starts that run off in y
     # overflow y**40 and must be dropped like a singular Jacobian
