@@ -270,6 +270,30 @@ def _c_list(raw: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _number(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+
+
+def _coordinate(raw: str) -> float:
+    val = _number(raw)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError("initial coordinates must be finite")
+    return val
+
+
+def _end_time(raw: str) -> float:
+    # inf stays a number here and ends in TimeBudgetExceeded; nan would
+    # never end the integration
+    val = _number(raw)
+    if math.isnan(val):
+        raise argparse.ArgumentTypeError("end time must be a number, got nan")
+    return val
+
+
 def _param_pair(raw: str) -> tuple[str, str]:
     if "=" not in raw:
         raise argparse.ArgumentTypeError(f"expected k=v, got {raw!r}")
@@ -718,9 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("orbit", help="integrate one trajectory to CSV")
     po.add_argument("--input", required=True, metavar="FILE")
-    po.add_argument("--x0", type=float, required=True)
-    po.add_argument("--y0", type=float, required=True)
-    po.add_argument("--t", type=float, required=True)
+    po.add_argument("--x0", type=_coordinate, required=True)
+    po.add_argument("--y0", type=_coordinate, required=True)
+    po.add_argument("--t", type=_end_time, required=True)
     po.add_argument("--out", required=True, metavar="CSV")
     po.add_argument("--json", action="store_true")
     po.set_defaults(handler=_cmd_orbit)

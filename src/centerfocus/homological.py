@@ -23,15 +23,20 @@ the kernel direction (x^2+y^2)^(n/2), fixed by making the circle
 average of f equal to `gauge`.
 
 `solve_slice` works on the dense slice format of ``poly``: g and f are
-integer numerators a_k over one denominator. Each chain divides by
-distinct numbers of one parity up to n, and each entry's denominator
-divides den times the divisors met so far. So once g is scaled by n!!
-(by n!! (n-1)!! for even n) every step of either chain is an exact
-integer division, and the slice is reduced by one gcd at the end.
-`solve_slice` reads k_const from the slice itself (Wallis weights, see
-``poly.wallis_weights``) and returns it with f. `solve_homological` is
-the BiPoly form, for API callers: it converts g to a slice and f back,
-and checks the slice's k_const against `circle_average` of g.
+integer numerators a_k over one denominator den, and over den n!! every
+chain step divides exactly. A chain whose divisors multiply to a divisor
+of n!! (both of an odd degree, the even-index one of an even degree) is
+exact step by step. The odd-index chain of an even degree fixes
+coefficients every solution shares, and those lie over den n!!: with
+R = x^2+y^2, D R = 0 and n x^p y^q = (q-1) R x^p y^(q-2) - D(x^(p+1)
+y^(q-1)), so peeling R off one degree at a time gives each monomial as
+its circle average times R^(n/2) plus D of a polynomial over
+n (n-2) ... 2. So k_const (``poly.wallis_weights``) is subtracted in
+integers before the sweep, and the gauge after it is one integer step
+over den n!! n!! q (q the denominator of `gauge`) from the integer
+Wallis sum of f; one gcd reduces the result. `solve_homological` is the
+BiPoly form, for API callers: it converts g to a slice and f back, and
+checks the slice's k_const against `circle_average` of g.
 
 The complex basis z, zbar, where D(z^k zbar^l) = i (k - l) z^k zbar^l
 is diagonal, gives the same solution (Romanovski & Shafer, The Center
@@ -44,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 from .poly import (
     BiPoly,
@@ -56,6 +62,7 @@ from .poly import (
     from_slice,
     slice_average,
     to_slice,
+    wallis_weights,
     # not called here; perfbench's tracer patches these names on this module
     from_complex,
     to_complex,
@@ -78,16 +85,6 @@ def apply_rotational(f: BiPoly | HomogeneousPoly) -> BiPoly:
     return X * f.diff_y() - Y * f.diff_x()
 
 
-def _add_radial(n: int, s: Slice, c: Fraction) -> Slice:
-    """s + c (x^2+y^2)^(n/2) for even n, over s's denominator times c's."""
-    nums, den = s
-    m, step = n // 2, c.numerator * den
-    nums = [v * c.denominator for v in nums]
-    for i in range(m + 1):
-        nums[2 * i] += step * comb(m, i)
-    return nums, den * c.denominator
-
-
 def solve_slice(n: int, g: Slice, gauge: Fraction | int = 0) -> tuple[Slice, Fraction]:
     """Solve D f = g - k_const (x^2+y^2)^(n/2) on one degree-n slice.
 
@@ -98,14 +95,14 @@ def solve_slice(n: int, g: Slice, gauge: Fraction | int = 0) -> tuple[Slice, Fra
     """
     nums, den = g
     even = n % 2 == 0
+    # over den * n!! every step below divides exactly (module docstring)
+    mult = double_factorial(n)
+    nums = [mult * v for v in nums]
     k_const = slice_average(n, g) if even else Fraction(0)
     if k_const:
-        nums, den = _add_radial(n, g, -k_const)
-
-    # n!! (times (n-1)!! for even n) is a multiple of the product of the
-    # divisors either chain meets, so over den * mult every step divides exactly
-    mult = double_factorial(n) * (double_factorial(n - 1) if even else 1)
-    nums = [mult * v for v in nums]
+        step = k_const.numerator * (den * mult // k_const.denominator)
+        for i in range(n // 2 + 1):
+            nums[2 * i] -= step * comb(n // 2, i)
     den *= mult
     a = [0] * (n + 2)  # a[n + 1] stays 0: it is both a_(-1) (read as a[-1]) and a_(n+1)
     # forward: even k fix the odd-index a's; for even n, odd k fix the
@@ -118,15 +115,19 @@ def solve_slice(n: int, g: Slice, gauge: Fraction | int = 0) -> tuple[Slice, Fra
                 f"degree {n}: g_n = {Fraction(nums[n], den)} but a_(n-1) = "
                 f"{Fraction(a[n - 1], den)} after removing the average {k_const}"
             )
+        # (gauge - avg f) * den * mult * q, where f averages sum(w a) / (mult den)
+        q = gauge.denominator
+        step = gauge.numerator * den * mult - q * sum(map(mul, wallis_weights(n)[0], a))
+        if step:
+            scale = mult * q
+            a = [scale * v for v in a]
+            for i in range(n // 2 + 1):
+                a[2 * i] += step * comb(n // 2, i)
+            den *= scale
     else:
         for k in range(n, 0, -2):
             a[k - 1] = (nums[k] + (k + 1) * a[k + 1]) // (n - k + 1)
     del a[n + 1]
-
-    if even:
-        shift = Fraction(gauge) - slice_average(n, (a, den))
-        if shift:
-            a, den = _add_radial(n, (a, den), shift)
     common = gcd(den, *a)
     return ([c // common for c in a], den // common), k_const
 

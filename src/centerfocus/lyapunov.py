@@ -12,15 +12,15 @@ inspected order (never a proven center).
 
 The recursion runs on the dense slices of ``poly``: a degree-n slice is
 ``(nums, den)``, integer numerators of x^k y^(n-k) over one positive
-denominator. The field's slices X_k, Y_k are converted once per call;
-the gradient of each H_j is taken once, when H_j is solved; the source
-of slice n is one `poly.slice_products` of those gradients with X_k and
-Y_k; `solve_slice` inverts D on it in exact integer divisions; and the
-focus quantities are Wallis averages of slices. `_recursion` takes the
-source as a callable, so `structure.constants_quasihomogeneous` runs the
-same loop on its own chain source in the same format. `BiPoly` appears
-only at the edges: the field coming in, and `LyapunovResult.h_list`
-going out.
+denominator. X_k and Y_k, read once per call, are the slices of degree
+k >= 2 of p and q (the linear part is pinned to (-y, x)); the gradient
+of each H_j is taken once, when H_j is solved; the source of slice n is one
+`poly.slice_products` of those gradients with X_k and Y_k; `solve_slice`
+inverts D on it in exact integer divisions; and the focus quantities are
+Wallis averages of slices. `_recursion` takes the source as a callable,
+so `structure.constants_quasihomogeneous` runs the same loop on its own
+chain source in the same format. `BiPoly` appears only at the edges: the
+field coming in, and `LyapunovResult.h_list` going out.
 """
 
 from __future__ import annotations
@@ -202,11 +202,10 @@ def compute_lyapunov(
     order+2 contributes its constant only. `gauges` optionally injects
     kernel coefficients for the even-degree solves (degree ->
     coefficient), default all zero. The field's slices X_k, Y_k are
-    converted to the dense format once, here.
+    converted to the dense format once, here, straight from p and q.
     """
-    xp, yp = field.nonlinear_slices()
-    xs = {k: to_slice(p, k) for k, p in xp.items()}
-    ys = {k: to_slice(p, k) for k, p in yp.items()}
+    xs, ys = ({k: to_slice(f, k) for k in sorted({i + j for (i, j), _ in f.terms()}) if k >= 2}
+              for f in (field.p, field.q))
     return _recursion(order, lambda n, hs, grads: _assemble_f(n, grads, xs, ys), gauges)
 
 

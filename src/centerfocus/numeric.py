@@ -18,7 +18,8 @@ is measured again by the per-sample route, one time-parametrized
 the reported ones. ``return_map``, ``period`` and ``integrate`` stay
 time-parametrized (RK45), so their printed floats do not move. A
 section abscissa that is not a positive finite float ends in
-``PreconditionFailed``.
+``PreconditionFailed``, and so does an ``integrate`` call from a
+non-finite point or to a NaN end time, before SciPy is loaded.
 
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
@@ -75,6 +76,10 @@ class IntegratorConfig:
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not 0.0 < tol <= 1e-2:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
+        # a NaN budget compares False against every t_end and every event
+        # time, so SciPy's step loop would never stop
+        if not 0.0 < self.max_time < math.inf:
+            raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
 
 
 def solve_ivp(*args, **kwargs):
@@ -154,6 +159,11 @@ def integrate(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate to t_end, one output row per accepted step."""
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise PreconditionFailed(f"initial point ({x0}, {y0}) must be finite")
+    # a NaN t_end passes the budget check below and never ends SciPy's step loop
+    if math.isnan(t_end):
+        raise PreconditionFailed("t_end must be a number, got nan")
     if t_end > cfg.max_time:
         raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {cfg.max_time}")
     with _float_range():

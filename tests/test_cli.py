@@ -484,6 +484,42 @@ class TestNumericCommands:
         assert "Traceback" not in err
 
 
+    def test_nonfinite_orbit_inputs(self, tmp_path, capsys, monkeypatch):
+        path = write_system(tmp_path, [], [])
+        monkeypatch.chdir(tmp_path)
+        base = ["orbit", "--input", path, "--out", "orbit.csv"]
+        for argv, flag in (
+            (["--x0", "nan", "--y0", "0", "--t", "1"], "--x0"),
+            (["--x0", "0.1", "--y0", "-inf", "--t", "1"], "--y0"),
+            (["--x0", "0.1", "--y0", "0", "--t", "nan"], "--t"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(base + argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: centerfocus orbit")
+            assert f"error: argument {flag}: " in err
+        # an infinite end time is still the engine's budget error
+        assert main(base + ["--x0", "0.1", "--y0", "0", "--t", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("centerfocus: TimeBudgetExceeded: ")
+        assert not (tmp_path / "orbit.csv").exists()
+
+    def test_orbit_to_nan_returns(self, tmp_path):
+        # a NaN end time once kept SciPy's step loop running forever; the
+        # timeout turns a regression into a failure instead of a stalled run
+        path = write_system(tmp_path, [], [])
+        src = Path(centerfocus.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerfocus", "orbit", "--input", path,
+             "--x0", "0.1", "--y0", "0", "--t", "nan", "--out", "orbit.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 1
+        assert "error: argument --t: end time must be a number" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 class TestCatalogCommand:
     def test_list_text(self, capsys):
         assert main(["catalog", "list"]) == 0

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import centerfocus
 from centerfocus import (
@@ -108,6 +108,8 @@ def sparse_homogeneous(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(sparse_homogeneous(), fractions)
+# f = 0 before the gauge shift: the shift must still run
+@example(HomogeneousPoly(4, BiPoly()), Fraction(2, 3))
 def test_matches_complex_basis_solve(g, gauge):
     f_ref, k_ref = complex_rotational_solve(g, gauge)
     sol = solve_homological(g, gauge)

@@ -56,6 +56,32 @@ def test_config_rejects_bad_tolerances():
         IntegratorConfig(abs_tol=0.5)
 
 
+@pytest.mark.parametrize("max_time", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_bad_time_budget(max_time):
+    # a NaN budget compares False against every time, so nothing would stop
+    with pytest.raises(ValueError, match="max_time"):
+        IntegratorConfig(max_time=max_time)
+
+
+@pytest.mark.parametrize(
+    "x0, y0, t_end, message",
+    [
+        (math.nan, 0.0, 1.0, "initial point"),
+        (0.1, math.inf, 1.0, "initial point"),
+        (-math.inf, 0.0, 1.0, "initial point"),
+        (0.1, 0.0, math.nan, "t_end"),
+    ],
+)
+def test_integrate_rejects_nonfinite_inputs(monkeypatch, x0, y0, t_end, message):
+    # checked before SciPy is reached: a NaN t_end never ends its step loop
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrate reached solve_ivp")
+
+    monkeypatch.setattr(numeric, "solve_ivp", unreachable)
+    with pytest.raises(PreconditionFailed, match=message):
+        integrate(harmonic(), x0, y0, t_end)
+
+
 def test_harmonic_orbit_and_energy():
     traj = integrate(harmonic(), 1.0, 0.0, 2 * TWO_PI)
     assert abs(traj.x[-1] - math.cos(traj.t[-1])) < 1e-8
