@@ -28,10 +28,10 @@ chain step divides exactly. A chain whose divisors multiply to a divisor
 of n!! (both of an odd degree, the even-index one of an even degree) is
 exact step by step. The odd-index chain of an even degree fixes
 coefficients every solution shares, and those lie over den n!!: with
-R = x^2+y^2, D R = 0 and n x^p y^q = (q-1) R x^p y^(q-2) - D(x^(p+1)
-y^(q-1)), so peeling R off one degree at a time gives each monomial as
-its circle average times R^(n/2) plus D of a polynomial over
-n (n-2) ... 2. So k_const (``poly.wallis_weights``) is subtracted in
+R = x^2+y^2, D R = 0 and
+n x^p y^q = (q-1) R x^p y^(q-2) - D(x^(p+1) y^(q-1)), so peeling R off
+one degree at a time gives each monomial as its circle average times
+R^(n/2) plus D of a polynomial over n (n-2) ... 2. So k_const (``poly.wallis_weights``) is subtracted in
 integers before the sweep, and the gauge after it is one integer step
 over den n!! n!! q (q the denominator of `gauge`) from the integer
 Wallis sum of f; one gcd reduces the result. `solve_homological` is the

@@ -101,21 +101,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def workload_summary(seeds, first, raw, metrics) -> dict:
-    """The per-workload block from the raw runs of both sides so far."""
-    done = min(len(raw["parent"]), len(raw["change"]))
+    """The per-workload block from the pairs run so far."""
+    done = len(raw["parent"])
     out = {
         "pairs": done,
         "seeds": seeds[:done],
         "first": first[:done],
-        "correct": all(r["correct"] for s in SIDES for r in raw[s][:done]),
-        "attempted": {s: sum(r["attempted"] for r in raw[s][:done]) for s in SIDES},
-        "failed": {s: sum(r["failed"] for r in raw[s][:done]) for s in SIDES},
+        "correct": all(r["correct"] for s in SIDES for r in raw[s]),
+        "attempted": {s: sum(r["attempted"] for r in raw[s]) for s in SIDES},
+        "failed": {s: sum(r["failed"] for r in raw[s]) for s in SIDES},
         "metrics": {},
-        "raw": {s: raw[s][:done] for s in SIDES},
+        "raw": raw,
     }
     if done >= 2:
         for m in metrics:
-            runs = {s: [r["metrics"][m["name"]]["value"] for r in raw[s][:done]] for s in SIDES}
+            runs = {s: [r["metrics"][m["name"]]["value"] for r in raw[s]] for s in SIDES}
             out["metrics"][m["name"]] = summarize(
                 runs["parent"], runs["change"], m["better"], m["bound"]
             )
