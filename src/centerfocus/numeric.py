@@ -19,7 +19,16 @@ the reported ones. ``return_map``, ``period`` and ``integrate`` stay
 time-parametrized (RK45), so their printed floats do not move. A
 section abscissa that is not a positive finite float ends in
 ``PreconditionFailed``, and so does an ``integrate`` call from a
-non-finite point or to a NaN end time, before SciPy is loaded.
+non-finite point or to a NaN end time, before SciPy is loaded; an end
+time beyond the budget in either direction ends in ``TimeBudgetExceeded``.
+
+The RK45 step loop is owned here (``_rk45``), not SciPy's: it takes
+SciPy's RK45 steps bit for bit, initial step, step control, dense
+output and event location included, with every stage, solution and
+error sum still SciPy's ``np.dot`` on one stage array and everything
+elementwise on Python floats. Those sums run in the host's BLAS, which
+may fuse multiply-adds, so the printed floats still depend on it, as
+they did under SciPy's loop.
 
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
@@ -29,18 +38,24 @@ that leaves the float range (``x**e`` overflowing) or an angle equation
 evaluated at the origin ends in ``StepFailure``.
 
 SciPy is imported on the first integration, not with this module, so
-the symbolic engine and its commands run without loading it.
-``solve_ivp`` and ``brentq`` are module-level functions that import
-SciPy's own and forward to it: the integrators here look them up as
-module globals at call time, so a wrapper set on this module (as
-perfbench's tracer does) sees every call.
+the symbolic engine and its commands run without loading it; the RK45
+tableau is read from ``scipy.integrate.RK45`` then. ``solve_ivp`` and
+``brentq`` are module-level functions: ``solve_ivp`` runs RK45 on the
+owned loop and forwards other methods to SciPy's, ``brentq`` forwards
+to SciPy's. The integrators here look them up as module globals at
+call time, so a wrapper set on this module (as perfbench's tracer does)
+sees every call; event location inside the loop calls SciPy's brentq
+directly, as SciPy's own loop does.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,16 +92,263 @@ class IntegratorConfig:
             if not 0.0 < tol <= 1e-2:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
         # a NaN budget compares False against every t_end and every event
-        # time, so SciPy's step loop would never stop
+        # time, so the step loop would never stop
         if not 0.0 < self.max_time < math.inf:
             raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call."""
+@dataclass(frozen=True)
+class IvpResult:
+    """The fields of a ``scipy.integrate.solve_ivp`` result that the
+    integrators here (and perfbench's tracer) read."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: object  # scipy.integrate.OdeSolution, or None without dense output
+    t_events: list | None
+    nfev: int
+    status: int
+    message: str
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None, **options):
+    """``scipy.integrate.solve_ivp``, with RK45 run by ``_rk45``.
+
+    RK45 over a nonempty span, with at most ``rtol`` and ``atol`` as
+    options and only terminal events, runs the owned step loop: ``fun``
+    and the events get the state as a list of Python floats and the
+    result is an ``IvpResult``. Everything else (DOP853 for the batched
+    grid, among others) is forwarded to SciPy's, imported on the first call.
+    """
+    t0, t_bound = map(float, t_span)
+    events = () if events is None else tuple(events)
+    if (
+        method == "RK45"
+        and t0 != t_bound
+        and set(options) <= {"rtol", "atol"}
+        and all(getattr(ev, "terminal", None) == 1 for ev in events)
+    ):
+        return _rk45(fun, t0, t_bound, y0, dense_output, events, **options)
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(*args, **kwargs)
+    return solve_ivp(
+        fun, t_span, y0, method=method, dense_output=dense_output,
+        events=events or None, **options,
+    )
+
+
+# scipy.integrate.RK45's step-size control (scipy/integrate/_ivp/rk.py)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order 4 + 1)
+EVENT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event brentq xtol and rtol
+_MESSAGES = {
+    -1: "Required step size is less than spacing between numbers.",
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+
+@functools.cache
+def _dormand_prince():
+    """RK45's tableau as SciPy's class defines it, SciPy's brentq and
+    OdeSolution: loaded on the first RK45 integration."""
+    from scipy.integrate import RK45, OdeSolution
+    from scipy.optimize import brentq
+
+    return RK45.A, RK45.B, RK45.C.tolist(), RK45.E, RK45.P, brentq, OdeSolution
+
+
+class _Interpolant:
+    """RK45's quartic interpolant over one step, as SciPy's RkDenseOutput:
+    y(t) = y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old) / h."""
+
+    __slots__ = ("t_old", "h", "y_old", "Q")
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.y_old = y_old
+        self.Q = Q
+
+    def at(self, t: float) -> list[float]:
+        h = self.h
+        x = (t - self.t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        qp = self.Q.dot(np.array((x, x2, x3, x3 * x))).tolist()
+        return [yo + h * v for yo, v in zip(self.y_old, qp)]
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return np.array(self.at(float(t)))
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
+        p = np.cumprod(np.tile((t - self.t_old) / self.h, (4, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += np.array(self.y_old)[:, None]
+        return y
+
+
+def _rms(v: list[float]) -> float:
+    """SciPy's RMS norm, on an ndarray so that the dot product is BLAS's."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a)) / len(v) ** 0.5
+
+
+def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> IvpResult:
+    """``solve_ivp(method="RK45")`` with SciPy's RK45 step loop owned here.
+
+    It takes the same steps to the same bits as SciPy's RK45 driven by
+    solve_ivp: the initial step of ``select_initial_step``, the step
+    control of ``RungeKutta._step_impl``, the stage, solution and error
+    sums as ``np.dot`` on one reused stage array K (the same BLAS calls,
+    so the same fused or unfused rounding), the RMS error norm as
+    ``sqrt(v.dot(v))`` on an ndarray, and each terminal event located by
+    brentq on the step's interpolant. Every elementwise operation is
+    done on Python floats, which round as NumPy's unfused elementwise
+    loops do. ``nfev`` counts as SciPy's does: 2 + 6 per attempted step.
+    """
+    A, B, C, E, P, brentq, OdeSolution = _dormand_prince()
+    y = [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    if rtol < 100 * sys.float_info.epsilon:
+        warnings.warn(
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {100 * sys.float_info.epsilon})`.",
+            stacklevel=3,
+        )
+        rtol = 100 * sys.float_info.epsilon
+    n = len(y)
+    root_n = n ** 0.5
+    direction = 1.0 if t_bound > t0 else -1.0
+    K = np.empty((7, n))
+    stages = [(s, K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
+    k_sol, k_all = K[:-1].T, K.T
+
+    # select_initial_step
+    f = [float(v) for v in fun(t0, y)]
+    interval = abs(t_bound - t0)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    hd = h0 * direction
+    f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval)
+    nfev = 2
+
+    t = t0
+    ts, ys = [t], [y]
+    interpolants = []
+    t_events = [[] for _ in events]
+    ev_dir = [getattr(ev, "direction", 0) for ev in events]
+    g = [ev(t, y) for ev in events]
+    K[-1] = f
+    status = None
+    while status is None:
+        K[0] = K[-1]
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for s, k_s, a_s, c_s in stages:
+                dy = np.dot(k_s, a_s).tolist()
+                K[s] = fun(t + c_s * h, [v + d * h for v, d in zip(y, dy)])
+            y_new = [v + h * d for v, d in zip(y, np.dot(k_sol, B).tolist())]
+            K[-1] = fun(t + h, y_new)
+            nfev += 6
+            err = np.dot(k_all, E).tolist()
+            # the error scale atol + max(|y|, |y_new|) rtol: y is finite
+            # and a NaN in y_new wins, as in np.maximum
+            error_norm = _rms([
+                e * h / (atol + (a if a >= b else b) * rtol)
+                for e, a, b in zip(err, map(abs, y), map(abs, y_new))
+            ])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        t_old, y_old, t, y = t, y, t_new, y_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+
+        interp = None
+        if dense_output:
+            interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
+            interpolants.append(interp)
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = [
+                i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
+                if (d > 0 and a <= 0 <= b)
+                or (d < 0 and a >= 0 >= b)
+                or (d == 0 and (a <= 0 <= b or a >= 0 >= b))
+            ]
+            if active:
+                if interp is None:
+                    interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
+                roots = [
+                    brentq(
+                        lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
+                        t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL,
+                    )
+                    for i in active
+                ]
+                # every event is terminal: the first root in time ends the run
+                first = sorted(range(len(roots)), key=lambda k: direction * roots[k])[0]
+                t_events[active[first]].append(roots[first])
+                status = 1
+                t = roots[first]
+                y = interp.at(t)
+            g = g_new
+        if dense_output and len(ts) > 1 and ts[-1] == t:
+            interpolants.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+
+    t_arr = np.array(ts)
+    return IvpResult(
+        t=t_arr,
+        y=np.array(ys).T,
+        sol=OdeSolution(t_arr, interpolants) if dense_output else None,
+        t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
+        nfev=nfev,
+        status=status,
+        message=_MESSAGES[status],
+    )
 
 
 def brentq(*args, **kwargs):
@@ -146,7 +408,7 @@ def _rhs(field: PlanarField):
     pq = float_code((field.p, field.q))
 
     def rhs(_t, s):
-        return pq(*s.tolist())
+        return pq(*s)
 
     return rhs
 
@@ -161,10 +423,11 @@ def integrate(
     """Integrate to t_end, one output row per accepted step."""
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise PreconditionFailed(f"initial point ({x0}, {y0}) must be finite")
-    # a NaN t_end passes the budget check below and never ends SciPy's step loop
+    # a NaN t_end passes the budget check below and never ends the step loop
     if math.isnan(t_end):
         raise PreconditionFailed("t_end must be a number, got nan")
-    if t_end > cfg.max_time:
+    # either sign: a backward run to -1e6 or -inf would run as long
+    if abs(t_end) > cfg.max_time:
         raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {cfg.max_time}")
     with _float_range():
         sol = solve_ivp(
@@ -202,7 +465,7 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     pq = float_code((field.p, field.q))
 
     def rhs(_t, s):
-        x, y, _ = s.tolist()
+        x, y, _ = s
         px, qx = pq(x, y)
         return (px, qx, (x * qx - y * px) / (x * x + y * y))
 
@@ -213,7 +476,7 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     turn_done.direction = 1.0
 
     def stalled(_t, s):
-        x, y, _ = s.tolist()
+        x, y, _ = s
         px, qx = pq(x, y)
         return x * qx - y * px
 
@@ -224,7 +487,7 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
         sol = solve_ivp(
             rhs,
             (0.0, cfg.max_time),
-            np.array((c, 0.0, 0.0)),  # solve_ivp hands y0 to the events as given
+            (c, 0.0, 0.0),
             method="RK45",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,

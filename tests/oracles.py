@@ -287,18 +287,21 @@ def loop_integrate(field, x0, y0, t_end, cfg):
     )
 
 
-def loop_first_return(field, c, cfg):
-    """``numeric._first_return`` on the term-loop evaluator: the same
-    angle-augmented integration, events and section polish, with the
-    field evaluated on NumPy scalars. Returns (t_cross, x_cross,
-    theta_at_cross, solution); raises ValueError where the engine
-    raises a typed error."""
-
+def _loop_pq(field):
     def p(x, y):
         return loop_evaluate(field.p, x, y)
 
     def q(x, y):
         return loop_evaluate(field.q, x, y)
+
+    return p, q
+
+
+def loop_angle_solution(field, c, cfg):
+    """solve_ivp on the angle-augmented term-loop RHS with the events and
+    arguments ``numeric._first_return`` passes: the raw solution, stalled
+    or not."""
+    p, q = _loop_pq(field)
 
     def rhs(_t, s):
         x, y, _ = s
@@ -319,11 +322,21 @@ def loop_first_return(field, c, cfg):
     stalled.terminal = True
     stalled.direction = -1.0
 
-    sol = solve_ivp(
+    return solve_ivp(
         rhs, (0.0, cfg.max_time), (c, 0.0, 0.0), method="RK45",
         rtol=cfg.rel_tol, atol=cfg.abs_tol,
         dense_output=True, events=(turn_done, stalled),
     )
+
+
+def loop_first_return(field, c, cfg):
+    """``numeric._first_return`` on the term-loop evaluator: the same
+    angle-augmented integration, events and section polish, with the
+    field evaluated on NumPy scalars. Returns (t_cross, x_cross,
+    theta_at_cross, solution); raises ValueError where the engine
+    raises a typed error."""
+    q = _loop_pq(field)[1]
+    sol = loop_angle_solution(field, c, cfg)
     if sol.status == -1 or len(sol.t_events[1]) or not len(sol.t_events[0]):
         raise ValueError("no first return")
     t_star = sol.t_events[0][0]

@@ -520,6 +520,23 @@ class TestNumericCommands:
         assert "Traceback" not in out.stderr
 
 
+    @pytest.mark.parametrize("t_end", ["-1e6", "-inf"])
+    def test_orbit_far_backward_is_over_budget(self, tmp_path, t_end):
+        # a negative end time once skipped the budget check and ran until
+        # killed; the timeout turns a regression into a failure
+        path = write_system(tmp_path, [], [])
+        src = Path(centerfocus.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerfocus", "orbit", "--input", path,
+             "--x0", "0.1", "--y0", "0", f"--t={t_end}", "--out", "orbit.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("centerfocus: TimeBudgetExceeded: ")
+        assert not (tmp_path / "orbit.csv").exists()
+
+
 class TestCatalogCommand:
     def test_list_text(self, capsys):
         assert main(["catalog", "list"]) == 0

@@ -28,6 +28,7 @@ from centerfocus.errors import (
     CenterFocusError,
     Inconsistent,
     PreconditionFailed,
+    StepFailure,
     TimeBudgetExceeded,
 )
 from centerfocus.lyapunov import H2
@@ -40,7 +41,7 @@ from helpers import (
     radial_cubic,
     rand_frac,
 )
-from oracles import loop_first_return, loop_integrate
+from oracles import loop_angle_solution, loop_first_return, loop_integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,6 +240,130 @@ def test_float_oracle_matches_term_loop_bitwise(make_field):
     sample = return_map(field, c, cfg)
     assert same_array(sample.p_of_c, want_x) and same_array(sample.theta_total, want_theta)
     assert same_array(period(field, c, cfg).period, float(want_t))
+
+
+# -- the owned RK45 step loop against SciPy's ---------------------------------
+
+
+def recorded_solutions(monkeypatch):
+    """Every result numeric.solve_ivp returns, in call order."""
+    out = []
+    original = numeric.solve_ivp
+
+    def recording(*args, **kwargs):
+        out.append(original(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(numeric, "solve_ivp", recording)
+    return out
+
+
+def same_run(got, want):
+    """Same steps, states, effort, status and events as a SciPy run."""
+    assert same_array(got.t, want.t) and same_array(got.y, want.y)
+    assert (got.nfev, got.status, got.message) == (want.nfev, want.status, want.message)
+    assert len(got.t) == len(want.t)  # perfbench's numeric.steps is len(t) - 1
+    if want.t_events is not None:
+        assert len(got.t_events) == len(want.t_events)
+        assert all(same_array(a, b) for a, b in zip(got.t_events, want.t_events))
+
+
+@pytest.mark.parametrize("make_field", DIFFERENTIAL_FIELDS)
+def test_owned_rk45_counts_steps_and_evaluations_as_scipy(make_field, monkeypatch):
+    field = make_field()
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    integrate(field, 0.1, 0.0, 20.0, cfg)
+    return_map(field, 0.05, cfg)
+    ref_orbit = loop_integrate(field, 0.1, 0.0, 20.0, cfg)
+    ref_angle = loop_angle_solution(field, 0.05, cfg)
+    for got, want in zip(runs, (ref_orbit, ref_angle), strict=True):
+        same_run(got, want)
+        # 2 evaluations to pick the first step, 6 per attempted step
+        assert (got.nfev - 2) % 6 == 0 and (got.nfev - 2) // 6 >= len(got.t) - 1
+    ts = np.linspace(ref_angle.t[0], ref_angle.t[-1], 23)
+    assert same_array(runs[1].sol(ts), ref_angle.sol(ts))
+    assert all(same_array(runs[1].sol(t), ref_angle.sol(t)) for t in ts)
+
+
+def test_owned_rk45_rejected_steps_match_scipy(monkeypatch):
+    # a far start on a seeded cubic: 503 accepted and 3 rejected steps
+    field = seeded_focus_field("cubic", 1)
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    integrate(field, 1.5, 0.0, 3.0, cfg)
+    want = loop_integrate(field, 1.5, 0.0, 3.0, cfg)
+    same_run(runs[0], want)
+    assert (want.nfev - 2) // 6 - (len(want.t) - 1) == 3
+
+
+def test_owned_rk45_step_size_failure_matches_scipy(monkeypatch):
+    # this orbit blows up before t = 3: the step size collapses after
+    # 2 276 steps and 6 rejections, as in SciPy
+    field = seeded_focus_field("cubic", 3)
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    with pytest.raises(StepFailure, match="less than spacing"):
+        integrate(field, 2.0, 0.0, 3.0, cfg)
+    want = loop_integrate(field, 2.0, 0.0, 3.0, cfg)
+    assert want.status == -1
+    same_run(runs[0], want)
+
+
+def test_owned_rk45_backward_run_matches_scipy(monkeypatch):
+    field = hamiltonian_field(12)
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    traj = integrate(field, 0.1, 0.0, -5.0, cfg)
+    want = loop_integrate(field, 0.1, 0.0, -5.0, cfg)
+    same_run(runs[0], want)
+    assert traj.t[-1] == -5.0 and np.all(np.diff(traj.t) < 0)
+
+
+def test_owned_rk45_stalled_angle_event_matches_scipy(monkeypatch):
+    # tests/data/cli/stalled.json: x' = -y, y' = x + x^2; theta' reaches 0
+    field = nl_field({}, {(2, 0): 1})
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    with pytest.raises(AngleStalled, match="theta' vanished at t = 3.44004"):
+        return_map(field, 0.6, cfg)
+    want = loop_angle_solution(field, 0.6, cfg)
+    assert want.status == 1 and len(want.t_events[1]) == 1
+    same_run(runs[0], want)
+    assert same_array(runs[0].t_events[1], want.t_events[1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field: integrate(field, 1.5, 0.0, 1.0),
+        lambda field: return_map(field, 1.5),
+        lambda field: period(field, 1.5),
+    ],
+    ids=["integrate", "return_map", "period"],
+)
+def test_kernel_overflow_is_a_step_failure(call):
+    # x' = -y + x^2000 leaves the float range at once from x = 1.5
+    with pytest.raises(StepFailure, match="OverflowError"):
+        call(nl_field({(2000, 0): 1}, {}))
+
+
+@pytest.mark.parametrize("t_end", [-1e6, -math.inf, 1e6, math.inf])
+def test_time_budget_bounds_either_direction(monkeypatch, t_end):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrate reached solve_ivp")
+
+    monkeypatch.setattr(numeric, "solve_ivp", unreachable)
+    with pytest.raises(TimeBudgetExceeded, match="exceeds budget"):
+        integrate(harmonic(), 0.1, 0.0, t_end)
+
+
+def test_other_methods_are_scipy_results():
+    # DOP853 (the batched grid) and zero-length spans go to SciPy itself
+    sol = numeric.solve_ivp(lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method="DOP853")
+    assert not isinstance(sol, numeric.IvpResult) and sol.success
+    sol = numeric.solve_ivp(lambda t, s: (-s[1], s[0]), (0.0, 0.0), (1.0, 0.0), method="RK45")
+    assert not isinstance(sol, numeric.IvpResult) and list(sol.t) == [0.0, 0.0]
 
 
 # -- the batched grid route of numeric_classify ----------------------------------
