@@ -227,7 +227,6 @@ def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> I
         )
         rtol = 100 * sys.float_info.epsilon
     n = len(y)
-    root_n = n ** 0.5
     direction = 1.0 if t_bound > t0 else -1.0
     K = np.empty((7, n))
     stages = [(s, K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
@@ -327,7 +326,7 @@ def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> I
                     for i in active
                 ]
                 # every event is terminal: the first root in time ends the run
-                first = sorted(range(len(roots)), key=lambda k: direction * roots[k])[0]
+                first = min(range(len(roots)), key=lambda k: direction * roots[k])
                 t_events[active[first]].append(roots[first])
                 status = 1
                 t = roots[first]
