@@ -115,30 +115,20 @@ class IvpResult:
         return self.status >= 0
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", dense_output=False, events=None, **options):
+def solve_ivp(fun, t_span, y0, method="RK45", **options):
     """``scipy.integrate.solve_ivp``, with RK45 run by ``_rk45``.
 
-    RK45 over a nonempty span, with at most ``rtol`` and ``atol`` as
-    options and only terminal events, runs the owned step loop: ``fun``
-    and the events get the state as a list of Python floats and the
-    result is an ``IvpResult``. Everything else (DOP853 for the batched
-    grid, among others) is forwarded to SciPy's, imported on the first call.
+    RK45 runs the owned step loop: ``fun`` and the events get the state
+    as a list of Python floats and the result is an ``IvpResult``. Other
+    methods (DOP853 for the batched grid) are forwarded to SciPy's,
+    imported on the first call.
     """
-    t0, t_bound = map(float, t_span)
-    events = () if events is None else tuple(events)
-    if (
-        method == "RK45"
-        and t0 != t_bound
-        and set(options) <= {"rtol", "atol"}
-        and all(getattr(ev, "terminal", None) == 1 for ev in events)
-    ):
-        return _rk45(fun, t0, t_bound, y0, dense_output, events, **options)
+    if method == "RK45":
+        t0, t_bound = map(float, t_span)
+        return _rk45(fun, t0, t_bound, y0, **options)
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(
-        fun, t_span, y0, method=method, dense_output=dense_output,
-        events=events or None, **options,
-    )
+    return solve_ivp(fun, t_span, y0, method=method, **options)
 
 
 # scipy.integrate.RK45's step-size control (scipy/integrate/_ivp/rk.py)
@@ -185,15 +175,8 @@ class _Interpolant:
         return [yo + h * v for yo, v in zip(self.y_old, qp)]
 
     def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return np.array(self.at(float(t)))
-        if t.ndim > 1:
-            raise ValueError("`t` must be a float or a 1-D array.")
-        p = np.cumprod(np.tile((t - self.t_old) / self.h, (4, 1)), axis=0)
-        y = self.h * np.dot(self.Q, p)
-        y += np.array(self.y_old)[:, None]
-        return y
+        # OdeSolution calls this with a scalar t, the only kind asked here
+        return np.array(self.at(float(t)))
 
 
 def _rms(v: list[float]) -> float:
@@ -202,7 +185,9 @@ def _rms(v: list[float]) -> float:
     return math.sqrt(a.dot(a)) / len(v) ** 0.5
 
 
-def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> IvpResult:
+def _rk45(
+    fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6
+) -> IvpResult:
     """``solve_ivp(method="RK45")`` with SciPy's RK45 step loop owned here.
 
     It takes the same steps to the same bits as SciPy's RK45 driven by
@@ -214,11 +199,16 @@ def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> I
     brentq on the step's interpolant. Every elementwise operation is
     done on Python floats, which round as NumPy's unfused elementwise
     loops do. ``nfev`` counts as SciPy's does: 2 + 6 per attempted step.
+    Every event is taken as terminal, the only kind the callers pass.
+
+    An empty span takes no step, as in SciPy: f is evaluated once, as
+    RK45's constructor does, and the result is y0 at t0 and t_bound
+    (``nfev`` 1, no dense output and no event sought; no caller asks
+    for either over an empty span).
     """
     A, B, C, E, P, brentq, OdeSolution = _dormand_prince()
+    events = () if events is None else tuple(events)
     y = [float(v) for v in y0]
-    if not all(map(math.isfinite, y)):
-        raise ValueError("All components of the initial state `y0` must be finite.")
     if rtol < 100 * sys.float_info.epsilon:
         warnings.warn(
             "At least one element of `rtol` is too small. "
@@ -226,6 +216,17 @@ def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> I
             stacklevel=3,
         )
         rtol = 100 * sys.float_info.epsilon
+    if t0 == t_bound:
+        fun(t0, y)
+        return IvpResult(
+            t=np.array([t0, t_bound]),
+            y=np.array([y, y]).T,
+            sol=None,
+            t_events=[np.empty(0) for _ in events] if events else None,
+            nfev=1,
+            status=0,
+            message=_MESSAGES[0],
+        )
     n = len(y)
     direction = 1.0 if t_bound > t0 else -1.0
     K = np.empty((7, n))
@@ -242,7 +243,9 @@ def _rk45(fun, t0, t_bound, y0, dense_output, events, rtol=1e-3, atol=1e-6) -> I
     h0 = min(h0, interval)
     hd = h0 * direction
     f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
+    # inf or nan, not an exception, and h1 below is 0 either way
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
