@@ -21,14 +21,18 @@ section abscissa that is not a positive finite float ends in
 ``PreconditionFailed``, and so does an ``integrate`` call from a
 non-finite point or to a NaN end time, before SciPy is loaded; an end
 time beyond the budget in either direction ends in ``TimeBudgetExceeded``.
+So does a first return that takes more than ``EVAL_BUDGET`` field
+evaluations (an escaping orbit whose steps collapse long before
+``max_time``); the batch declines on the same budget.
 
-The RK45 step loop is owned here (``_rk45``), not SciPy's: it takes
-SciPy's RK45 steps bit for bit, initial step, step control, dense
-output and event location included, with every stage, solution and
-error sum still SciPy's ``np.dot`` on one stage array and everything
-elementwise on Python floats. Those sums run in the host's BLAS, which
-may fuse multiply-adds, so the printed floats still depend on it, as
-they did under SciPy's loop.
+Both integrators run on one explicit Runge-Kutta step loop owned here
+(``_runge_kutta``), not SciPy's: given RK45's or DOP853's tableau, read
+from SciPy's class, it takes SciPy's steps bit for bit, initial step,
+step control, error norm, dense output and event location included,
+with every stage, solution and error sum still a BLAS dot product on
+one stage array and everything elementwise on Python floats. Those sums
+run in the host's BLAS, which may fuse multiply-adds, so the printed
+floats still depend on it, as they did under SciPy's loop.
 
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
@@ -38,10 +42,10 @@ that leaves the float range (``x**e`` overflowing) or an angle equation
 evaluated at the origin ends in ``StepFailure``.
 
 SciPy is imported on the first integration, not with this module, so
-the symbolic engine and its commands run without loading it; the RK45
-tableau is read from ``scipy.integrate.RK45`` then. ``solve_ivp`` and
-``brentq`` are module-level functions: ``solve_ivp`` runs RK45 on the
-owned loop and forwards other methods to SciPy's, ``brentq`` forwards
+the symbolic engine and its commands run without loading it; the
+tableaux are read from ``scipy.integrate`` then. ``solve_ivp`` and
+``brentq`` are module-level functions: ``solve_ivp`` runs RK45 and
+DOP853 on the owned loop and refuses other methods, ``brentq`` forwards
 to SciPy's. The integrators here look them up as module globals at
 call time, so a wrapper set on this module (as perfbench's tracer does)
 sees every call; event location inside the loop calls SciPy's brentq
@@ -79,6 +83,11 @@ GUARD_REL = 0.5
 GUARD_ABS = 1e-11
 # |y| at which a refined first-return crossing counts as on the section
 SECTION_ABS = 1e-13
+# field evaluations one first return, or one batched grid, may take. An
+# orbit that escapes (x' = -y, y' = x + x^2 + 2 y^2 - y^3 from c = 0.6)
+# shrinks its steps until t crawls and never reaches max_time; this
+# bound ends it.
+EVAL_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -116,26 +125,23 @@ class IvpResult:
 
 
 def solve_ivp(fun, t_span, y0, method="RK45", **options):
-    """``scipy.integrate.solve_ivp``, with RK45 run by ``_rk45``.
+    """``scipy.integrate.solve_ivp`` for RK45 and DOP853, on the step loop
+    owned here (``_runge_kutta``).
 
-    RK45 runs the owned step loop: ``fun`` and the events get the state
-    as a list of Python floats and the result is an ``IvpResult``. Other
-    methods (DOP853 for the batched grid) are forwarded to SciPy's,
-    imported on the first call.
+    ``fun`` and the events get the state as a list of Python floats and
+    the result is an ``IvpResult``. Any other method is a ValueError;
+    SciPy's own step loop is never called.
     """
-    if method == "RK45":
-        t0, t_bound = map(float, t_span)
-        return _rk45(fun, t0, t_bound, y0, **options)
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(fun, t_span, y0, method=method, **options)
+    if method not in ("RK45", "DOP853"):
+        raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
+    t0, t_bound = map(float, t_span)
+    return _runge_kutta(_tableau(method), fun, t0, t_bound, y0, **options)
 
 
-# scipy.integrate.RK45's step-size control (scipy/integrate/_ivp/rk.py)
+# scipy.integrate's RungeKutta step-size control (scipy/integrate/_ivp/rk.py)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
-ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order 4 + 1)
 EVENT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event brentq xtol and rtol
 _MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
@@ -144,14 +150,80 @@ _MESSAGES = {
 }
 
 
+def _rms(v: list[float]) -> float:
+    """SciPy's RMS norm, on an ndarray so that the dot product is BLAS's."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a)) / len(v) ** 0.5
+
+
+def _squared_norm(v: list[float]) -> float:
+    """``np.linalg.norm(v) ** 2`` as DOP853 takes it: the root of a BLAS
+    dot, raised to the power 2 by libm's pow, which rounds differently
+    from r * r in about one case in a thousand. The root of a finite dot
+    is at most sqrt(DBL_MAX), whose square is finite, so the power never
+    raises OverflowError where NumPy's would give inf."""
+    a = np.array(v)
+    return math.sqrt(a.dot(a)) ** 2
+
+
+def _rk45_error_norm(k_all, rows, h, scale) -> float:
+    """RungeKutta._estimate_error_norm: the RMS of h K^T E / scale."""
+    (e,) = rows
+    return _rms([v * h / s for v, s in zip(k_all.dot(e).tolist(), scale)])
+
+
+def _dop853_error_norm(k_all, rows, h, scale) -> float:
+    """DOP853._estimate_error_norm: the fifth-order estimate E5, damped by
+    the third-order one E3 (Hairer, Norsett & Wanner's DOP853)."""
+    e5, e3 = rows
+    err5 = _squared_norm([v / s for v, s in zip(k_all.dot(e5).tolist(), scale)])
+    err3 = _squared_norm([v / s for v, s in zip(k_all.dot(e3).tolist(), scale)])
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    denom = err5 + 0.01 * err3
+    # denom is 0 only when err5 is and 0.01 * err3 underflows: NumPy's
+    # 0 / 0 is then nan, which rejects the step
+    if not denom:
+        return math.nan
+    return abs(h) * err5 / math.sqrt(denom * len(scale))
+
+
+@dataclass(frozen=True)
+class _Tableau:
+    """An explicit Runge-Kutta pair as SciPy's class defines it."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: list[float]
+    error_rows: tuple  # (E,) for RK45, (E5, E3) for DOP853
+    error_norm: object  # (K^T, error_rows, h, scale) -> float
+    error_exponent: float  # -1 / (error estimator order + 1)
+    P: np.ndarray | None  # the dense-output matrix; RK45's only
+
+
 @functools.cache
-def _dormand_prince():
-    """RK45's tableau as SciPy's class defines it, SciPy's brentq and
-    OdeSolution: loaded on the first RK45 integration."""
-    from scipy.integrate import RK45, OdeSolution
+def _tableau(method: str) -> _Tableau:
+    """The pair for ``method``, read from SciPy's class on first use."""
+    from scipy.integrate import DOP853, RK45
+
+    if method == "RK45":
+        return _Tableau(
+            RK45.A, RK45.B, RK45.C.tolist(), (RK45.E,), _rk45_error_norm,
+            -1 / (RK45.error_estimator_order + 1), RK45.P,
+        )
+    return _Tableau(
+        DOP853.A, DOP853.B, DOP853.C.tolist(), (DOP853.E5, DOP853.E3),
+        _dop853_error_norm, -1 / (DOP853.error_estimator_order + 1), None,
+    )
+
+
+@functools.cache
+def _scipy_event_tools():
+    """SciPy's brentq and OdeSolution, loaded with the first integration."""
+    from scipy.integrate import OdeSolution
     from scipy.optimize import brentq
 
-    return RK45.A, RK45.B, RK45.C.tolist(), RK45.E, RK45.P, brentq, OdeSolution
+    return brentq, OdeSolution
 
 
 class _Interpolant:
@@ -179,34 +251,35 @@ class _Interpolant:
         return np.array(self.at(float(t)))
 
 
-def _rms(v: list[float]) -> float:
-    """SciPy's RMS norm, on an ndarray so that the dot product is BLAS's."""
-    a = np.array(v)
-    return math.sqrt(a.dot(a)) / len(v) ** 0.5
-
-
-def _rk45(
-    fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6
+def _runge_kutta(
+    tab: _Tableau, fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6
 ) -> IvpResult:
-    """``solve_ivp(method="RK45")`` with SciPy's RK45 step loop owned here.
+    """``solve_ivp`` with SciPy's RungeKutta step loop owned here.
 
-    It takes the same steps to the same bits as SciPy's RK45 driven by
-    solve_ivp: the initial step of ``select_initial_step``, the step
-    control of ``RungeKutta._step_impl``, the stage, solution and error
-    sums as ``np.dot`` on one reused stage array K (the same BLAS calls,
-    so the same fused or unfused rounding), the RMS error norm as
-    ``sqrt(v.dot(v))`` on an ndarray, and each terminal event located by
-    brentq on the step's interpolant. Every elementwise operation is
-    done on Python floats, which round as NumPy's unfused elementwise
-    loops do. ``nfev`` counts as SciPy's does: 2 + 6 per attempted step.
-    Every event is taken as terminal, the only kind the callers pass.
+    It takes the same steps to the same bits as SciPy's solver of the
+    tableau ``tab`` (RK45 or DOP853) driven by solve_ivp: the initial
+    step of ``select_initial_step``, the step control of
+    ``RungeKutta._step_impl``, the stage, solution and error sums as
+    ``ndarray.dot`` on one reused stage array K (the same BLAS calls as
+    SciPy's ``np.dot``, so the same fused or unfused rounding), the
+    tableau's error norm with each vector norm taken on an ndarray, and
+    each terminal event located by brentq on the step's interpolant.
+    Every elementwise operation is done on Python floats, which round as
+    NumPy's unfused elementwise loops do; where NumPy gives inf or nan
+    instead of raising, the code here does too. ``nfev`` counts as
+    SciPy's does: 2 + one per stage for each attempted step. Every event
+    is taken as terminal, the only kind the callers pass; dense output
+    and events are RK45's only, the only method the callers ask them of.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
-    RK45's constructor does, and the result is y0 at t0 and t_bound
-    (``nfev`` 1, no dense output and no event sought; no caller asks
-    for either over an empty span).
+    the solver's constructor does, and the result is y0 at t0 and
+    t_bound (``nfev`` 1, no dense output and no event sought; no caller
+    asks for either over an empty span).
     """
-    A, B, C, E, P, brentq, OdeSolution = _dormand_prince()
+    if (dense_output or events) and tab.P is None:
+        raise ValueError("dense output and events need the RK45 tableau")
+    A, B, C, P = tab.A, tab.B, tab.C, tab.P
+    error_norm, error_rows, error_exponent = tab.error_norm, tab.error_rows, tab.error_exponent
     events = () if events is None else tuple(events)
     y = [float(v) for v in y0]
     if rtol < 100 * sys.float_info.epsilon:
@@ -228,9 +301,10 @@ def _rk45(
             message=_MESSAGES[0],
         )
     n = len(y)
+    n_stages = len(C)
     direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((7, n))
-    stages = [(s, K[:s].T, A[s, :s], C[s]) for s in range(1, 6)]
+    K = np.empty((n_stages + 1, n))
+    stages = [(s, K[:s].T.dot, A[s, :s], C[s]) for s in range(1, n_stages)]
     k_sol, k_all = K[:-1].T, K.T
 
     # select_initial_step
@@ -249,7 +323,7 @@ def _rk45(
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -error_exponent
     h_abs = min(100 * h0, h1, interval)
     nfev = 2
 
@@ -259,6 +333,7 @@ def _rk45(
     t_events = [[] for _ in events]
     ev_dir = [getattr(ev, "direction", 0) for ev in events]
     g = [ev(t, y) for ev in events]
+    brentq, OdeSolution = _scipy_event_tools()
     K[-1] = f
     status = None
     while status is None:
@@ -276,29 +351,29 @@ def _rk45(
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            for s, k_s, a_s, c_s in stages:
-                dy = np.dot(k_s, a_s).tolist()
+            for s, k_dot, a_s, c_s in stages:
+                dy = k_dot(a_s).tolist()
                 K[s] = fun(t + c_s * h, [v + d * h for v, d in zip(y, dy)])
-            y_new = [v + h * d for v, d in zip(y, np.dot(k_sol, B).tolist())]
+            y_new = [v + h * d for v, d in zip(y, k_sol.dot(B).tolist())]
             K[-1] = fun(t + h, y_new)
-            nfev += 6
-            err = np.dot(k_all, E).tolist()
+            nfev += n_stages
             # the error scale atol + max(|y|, |y_new|) rtol: y is finite
             # and a NaN in y_new wins, as in np.maximum
-            error_norm = _rms([
-                e * h / (atol + (a if a >= b else b) * rtol)
-                for e, a, b in zip(err, map(abs, y), map(abs, y_new))
-            ])
-            if error_norm < 1:
-                if error_norm == 0:
+            scale = [
+                atol + (a if a >= b else b) * rtol
+                for a, b in zip(map(abs, y), map(abs, y_new))
+            ]
+            err = error_norm(k_all, error_rows, h, scale)
+            if err < 1:
+                if err == 0:
                     factor = MAX_FACTOR
                 else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                    factor = min(MAX_FACTOR, SAFETY * err**error_exponent)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            h_abs *= max(MIN_FACTOR, SAFETY * err**error_exponent)
             rejected = True
         if status == -1:
             break
@@ -465,8 +540,13 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     if not math.isfinite(c):
         raise PreconditionFailed("section abscissa must be finite")
     pq = float_code((field.p, field.q))
+    evals = 0
 
     def rhs(_t, s):
+        nonlocal evals
+        evals += 1
+        if evals > EVAL_BUDGET:
+            raise TimeBudgetExceeded(f"no return within {EVAL_BUDGET} field evaluations")
         x, y, _ = s
         px, qx = pq(x, y)
         return (px, qx, (x * qx - y * px) / (x * x + y * y))
@@ -603,26 +683,32 @@ def _grid_deltas(
     at x = r cos theta, y = r sin theta, so r_i(2 pi) is the first return
     of c_i to the positive x-axis and t_i(2 pi) its return time (Hairer,
     Norsett & Wanner, Solving ODEs I: change of the independent
-    variable). It shares ``_first_return``'s (p, q) kernel and tolerances.
+    variable). It shares ``_first_return``'s (p, q) kernel, tolerances and
+    evaluation budget, and runs DOP853 on the owned step loop, which
+    hands the right-hand side the state as a list of floats.
     Returns None when the batch cannot vouch for every sample: some c is
     not a positive finite float, the integration failed (where the angle
     stalls, x q - y p -> 0 drives dr/dtheta without bound and the step
-    size collapses), the field left the float range, or some r(2 pi) is
-    not a positive float or some return time lies outside
-    (0, cfg.max_time].
+    size collapses), it took more than ``EVAL_BUDGET`` evaluations, the
+    field left the float range, or some r(2 pi) is not a positive float
+    or some return time lies outside (0, cfg.max_time].
     """
     if not all(0.0 < c < math.inf for c in c_grid):
         return None
     n = len(c_grid)
     pq = float_code((field.p, field.q))
     cos, sin = math.cos, math.sin
+    evals = 0
 
     def rhs(theta, s):
+        nonlocal evals
+        evals += 1
+        if evals > EVAL_BUDGET:
+            raise TimeBudgetExceeded
         ct, st = cos(theta), sin(theta)
-        vals = s.tolist()
         out = [0.0] * (2 * n)
         for i in range(n):
-            r = vals[i]
+            r = s[i]
             x, y = r * ct, r * st
             px, qx = pq(x, y)
             den = x * qx - y * px
@@ -634,12 +720,12 @@ def _grid_deltas(
         sol = solve_ivp(
             rhs,
             (0.0, TWO_PI),
-            np.array([float(c) for c in c_grid] + [0.0] * n),
+            [float(c) for c in c_grid] + [0.0] * n,
             method="DOP853",
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
         )
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, TimeBudgetExceeded):
         return None
     if sol.status != 0:  # -1: step failure, e.g. where x q - y p reaches 0
         return None

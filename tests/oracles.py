@@ -363,3 +363,28 @@ def loop_first_return(field, c, cfg):
     if xy[0] <= 0:
         raise ValueError("section crossing landed at nonpositive x")
     return t_cur, float(xy[0]), float(xy[2]), sol
+
+
+def loop_grid_solution(field, c_grid, cfg):
+    """solve_ivp(method="DOP853") on the term-loop form of the equations
+    in theta that ``numeric._grid_deltas`` integrates, with NumPy-scalar
+    state and the arguments it passes: the raw solution."""
+    p, q = _loop_pq(field)
+    n = len(c_grid)
+
+    def rhs(theta, s):
+        ct, st = math.cos(theta), math.sin(theta)
+        out = [0.0] * (2 * n)
+        for i in range(n):
+            r = s[i]
+            x, y = r * ct, r * st
+            px, qx = p(x, y), q(x, y)
+            den = x * qx - y * px
+            out[i] = r * (x * px + y * qx) / den
+            out[n + i] = r * r / den
+        return out
+
+    return solve_ivp(
+        rhs, (0.0, 2.0 * math.pi), [float(c) for c in c_grid] + [0.0] * n,
+        method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+    )

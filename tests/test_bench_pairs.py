@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import library_versions, summarize  # noqa: E402
 
 
 def test_lower_is_better_counts_wins_and_ties():
@@ -55,3 +55,14 @@ def test_rejects_unpaired_or_unknown_direction():
         summarize([1.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
         summarize([1.0, 2.0], [1.0, 2.0], "faster", 0.25)
+
+
+def test_library_versions_name_numpy_scipy_and_blas():
+    import numpy as np
+    import scipy
+
+    out = library_versions()
+    assert set(out) == {"numpy", "scipy", "blas"}
+    assert out["numpy"] == np.__version__ and out["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert out["blas"] == f"{blas['name']} {blas['version']}"

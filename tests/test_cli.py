@@ -536,6 +536,25 @@ class TestNumericCommands:
         assert out.stderr.startswith("centerfocus: TimeBudgetExceeded: ")
         assert not (tmp_path / "orbit.csv").exists()
 
+    def test_escaping_orbit_is_over_budget(self, tmp_path):
+        # x' = -y, y' = x + x^2 + 2 y^2 - y^3 (kukles): the orbit through 0.6
+        # escapes and its steps collapse long before max_time, so this once
+        # ran until killed; the timeout turns a regression into a failure
+        path = write_system(
+            tmp_path, [],
+            [{"i": 2, "j": 0, "c": 1}, {"i": 0, "j": 2, "c": 2}, {"i": 0, "j": 3, "c": -1}],
+        )
+        src = Path(centerfocus.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerfocus", "returnmap", "--input", path, "--c", "0.6"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == (
+            "centerfocus: TimeBudgetExceeded: no return within 500000 field evaluations\n"
+        )
+
 
 class TestCatalogCommand:
     def test_list_text(self, capsys):

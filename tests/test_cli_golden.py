@@ -68,6 +68,7 @@ JSON_CASES = {
     if argv[:2] != ["catalog", "get"]
 }
 ALL_CASES = {**CASES, **JSON_CASES}
+NUMERIC_COMMANDS = ("classify", "returnmap", "period", "orbit")
 
 
 def run_case(argv, capsys) -> dict:
@@ -108,3 +109,21 @@ def test_cli_bytes_match_golden(name, golden, tmp_path, monkeypatch, capsys):
     assert got["exit"] == want["exit"]
     assert got["stdout"] == want["stdout"]
     assert got["stderr"] == want["stderr"]
+
+
+def test_numeric_cases_replay_without_scipy_step_loops(golden, tmp_path, monkeypatch, capsys):
+    """Every float integration runs on numeric.py's own step loop: with
+    SciPy's solve_ivp and every SciPy solver's step raising, the numeric
+    commands still print their stored bytes."""
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SciPy's step loop was called")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    monkeypatch.setattr(scipy.integrate.OdeSolver, "step", refuse)
+    enter_replay_dir(tmp_path, monkeypatch)
+    names = [n for n, argv in sorted(ALL_CASES.items()) if argv[0] in NUMERIC_COMMANDS]
+    assert len(names) == 20
+    for name in names:
+        assert run_case(ALL_CASES[name], capsys) == golden[name], name

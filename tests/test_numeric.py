@@ -1,10 +1,14 @@
 import csv
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from centerfocus import (
     BiPoly,
@@ -41,7 +45,12 @@ from helpers import (
     radial_cubic,
     rand_frac,
 )
-from oracles import loop_angle_solution, loop_first_return, loop_integrate
+from oracles import (
+    loop_angle_solution,
+    loop_first_return,
+    loop_grid_solution,
+    loop_integrate,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,10 +394,52 @@ def test_time_budget_bounds_either_direction(monkeypatch, t_end):
         integrate(harmonic(), 0.1, 0.0, t_end)
 
 
-def test_other_methods_are_scipy_results():
-    # DOP853 (the batched grid) goes to SciPy itself
-    sol = numeric.solve_ivp(lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method="DOP853")
-    assert not isinstance(sol, numeric.IvpResult) and sol.success
+@pytest.mark.parametrize("method", ["RK23", "Radau", "LSODA", "dop853"])
+def test_other_methods_are_refused(method):
+    with pytest.raises(ValueError, match="method must be 'RK45' or 'DOP853'"):
+        numeric.solve_ivp(lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method=method)
+
+
+@pytest.mark.parametrize("option", [{"dense_output": True}, {"events": [lambda t, s: s[1]]}])
+def test_dop853_has_no_dense_output_or_events(option):
+    # no caller asks for them; SciPy's DOP853 interpolant needs three more stages
+    with pytest.raises(ValueError, match="need the RK45 tableau"):
+        numeric.solve_ivp(
+            lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method="DOP853", **option
+        )
+
+
+def kukles_field():
+    # x' = -y, y' = x + x^2 + 2 y^2 - y^3
+    return get("kukles", **SAMPLE_PARAMS["kukles"]).field
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field: return_map(field, 0.6),
+        lambda field: numeric_classify(field, (0.1, 0.6)),
+    ],
+    ids=["return_map", "numeric_classify"],
+)
+def test_escaping_orbit_ends_in_the_evaluation_budget(call):
+    # the orbit through c = 0.6 escapes and its steps collapse at t near
+    # 47, far below max_time; without the budget this ran until killed.
+    # numeric_classify's batch declines on the same budget, and its
+    # per-sample route then reports the return map's error.
+    start = time.perf_counter()
+    with pytest.raises(
+        TimeBudgetExceeded,
+        match=f"^no return within {numeric.EVAL_BUDGET} field evaluations$",
+    ):
+        call(kukles_field())
+    assert time.perf_counter() - start < 60
+
+
+def test_grid_batch_declines_on_the_evaluation_budget(monkeypatch):
+    runs = recorded_solutions(monkeypatch)
+    assert _grid_deltas(kukles_field(), (0.1, 0.6), IntegratorConfig()) is None
+    assert runs == []  # the budget ended the integration from inside its rhs
 
 
 # -- the batched grid route of numeric_classify ----------------------------------
@@ -401,6 +452,85 @@ def seeded_focus_field(kind, seed):
     if kind == "bautin":
         return bautin_field(*(Fraction(rng.randint(-3, 3), 4) for _ in range(5)))
     return cubic_field(*(Fraction(rng.randint(-3, 3), 4) for _ in range(8)))
+
+
+# -- the owned DOP853 loop against SciPy's ---------------------------------------
+
+
+@pytest.mark.parametrize("make_field", DIFFERENTIAL_FIELDS)
+def test_owned_dop853_matches_scipy(make_field, monkeypatch):
+    field = make_field()
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    _grid_deltas(field, GRID, cfg)
+    want = loop_grid_solution(field, GRID, cfg)
+    same_run(runs[0], want)
+    # 2 evaluations to pick the first step, 12 per attempted step
+    assert (want.nfev - 2) % 12 == 0 and (want.nfev - 2) // 12 >= len(want.t) - 1
+
+
+def test_owned_dop853_rejected_steps_match_scipy(monkeypatch):
+    # a seeded Bautin grid: 60 accepted and 14 rejected steps
+    field = seeded_focus_field("bautin", 3)
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    _grid_deltas(field, GRID, cfg)
+    want = loop_grid_solution(field, GRID, cfg)
+    same_run(runs[0], want)
+    assert want.status == 0 and len(want.t) - 1 == 60
+    assert (want.nfev - 2) // 12 - (len(want.t) - 1) == 14
+
+
+def test_owned_dop853_step_size_failure_matches_scipy(monkeypatch):
+    # tests/data/cli/stalled.json: theta' reaches 0 on the orbit through 0.6,
+    # where dr/dtheta grows without bound and the step size collapses
+    field = nl_field({}, {(2, 0): 1})
+    cfg = IntegratorConfig()
+    runs = recorded_solutions(monkeypatch)
+    assert _grid_deltas(field, (0.05, 0.6), cfg) is None
+    want = loop_grid_solution(field, (0.05, 0.6), cfg)
+    assert want.status == -1
+    same_run(runs[0], want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_squared_norm_is_numpys():
+    # DOP853 squares np.linalg.norm's root with libm's pow, which rounds
+    # differently from r * r in about one case in a thousand
+    rng = np.random.default_rng(5)
+    vs = rng.standard_normal((20000, 6)) * 10.0 ** rng.integers(-150, 150, (20000, 1))
+    assert all(numeric._squared_norm(v.tolist()) == np.linalg.norm(v) ** 2 for v in vs)
+    # the largest root of a finite dot squares to a finite float, and a dot
+    # that overflows gives inf on both sides
+    top = [math.sqrt(sys.float_info.max)]
+    assert numeric._squared_norm(top) == np.linalg.norm(top) ** 2 < math.inf
+    assert numeric._squared_norm([1e200]) == np.linalg.norm([1e200]) ** 2 == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_owned_dop853_zero_error_denominator_is_nan_as_in_scipy(monkeypatch):
+    # f is v at t = 0 and 0 after, so K's only nonzero row is f(0) = v and
+    # every step from t = 0 has err5 / scale = 6.6e-163, which squares to 0,
+    # and err3 / scale = 9.5e-162, which squares to 9e-323; 0.01 times that
+    # underflows to 0, so the norm is 0 / 0. NumPy makes that nan, which
+    # rejects every step until the step size fails.
+    v = 5e-161 * (1e-6 + 1e-3)  # the error scale at y = 1 under the defaults
+
+    def fun(t, y):
+        return [v if t == 0.0 else 0.0]
+
+    norms = []
+    original = DOP853._estimate_error_norm
+
+    def spy(self, K, h, scale):
+        norms.append(original(self, K, h, scale))
+        return norms[-1]
+
+    monkeypatch.setattr(DOP853, "_estimate_error_norm", spy)
+    want = scipy_solve_ivp(fun, (0.0, 1.0), [1.0], method="DOP853")
+    assert norms and all(math.isnan(e) for e in norms)
+    assert want.status == -1 and list(want.t) == [0.0]
+    same_run(numeric.solve_ivp(fun, (0.0, 1.0), [1.0], method="DOP853"), want)
 
 
 GRID_FIELDS = DIFFERENTIAL_FIELDS + [

@@ -71,6 +71,23 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     return out
 
 
+def library_versions() -> dict:
+    """NumPy's and SciPy's versions and the BLAS NumPy was built against.
+
+    The engine's printed floats are bit for bit SciPy's only for one BLAS
+    build (its stage sums are BLAS dot products), so a measurement names it.
+    """
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+    }
+
+
 def export(rev: str, dest: Path) -> str:
     """Unpack ``git archive rev`` into dest; return the full commit id."""
     commit = subprocess.run(
@@ -154,6 +171,7 @@ def main(argv=None) -> int:
                 "change": commits["change"],
                 "quartiles": "statistics.quantiles(method='inclusive') over the runs of one side",
                 "host_python": sys.version.split()[0],
+                **library_versions(),
             },
             "workloads": {},
         }
