@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, numeric
 from .catalog import get as catalog_get
 from .catalog import list_families
 from .errors import (
@@ -40,10 +40,10 @@ from .inverse import (
 )
 from .lyapunov import H2, PlanarField, compute_lyapunov
 from .numeric import (
+    ABS_TOL,
+    REL_TOL,
     SECTION_ABS,
     CenterLike,
-    IntegratorConfig,
-    integrate,
     numeric_classify,
     period,
     return_map,
@@ -307,13 +307,14 @@ def _run_batch(paths, jobs: int, worker):
     if jobs > 1 and len(paths) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all max_workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
             return list(pool.map(worker, paths))
     return [worker(path) for path in paths]
 
 
-def _tolerances(cfg: IntegratorConfig) -> dict:
-    return {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "section_abs": SECTION_ABS}
+def _tolerances() -> dict:
+    return {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "section_abs": SECTION_ABS}
 
 
 def _load_system(path: str) -> tuple[str, str, PlanarField]:
@@ -438,8 +439,7 @@ def _classify_one(
         lines.append(f"quadratic: bautin {bautin if bautin is not None else 'n/a'}, "
                      f"schlomiuk {schl}")
 
-    cfg = IntegratorConfig()
-    num = numeric_classify(field, c_grid, cfg)
+    num = numeric_classify(field, c_grid)
     if isinstance(num, CenterLike):
         num_out = {"kind": "CenterLike", "tol": num.tol}
         lines.append(f"numeric:   CenterLike (tol {num.tol})")
@@ -465,7 +465,7 @@ def _classify_one(
         "weak_center": weak_out,
         "hg": hg_out,
         "quadratic": quadratic,
-        "numeric": {"grid": list(c_grid), "tolerances": _tolerances(cfg), **num_out},
+        "numeric": {"grid": list(c_grid), "tolerances": _tolerances(), **num_out},
         "disagreement": disagreement,
     }
     return _report(f"classify --order {order} --input {path}", digest, results), lines
@@ -561,28 +561,27 @@ def _cmd_darboux(args) -> int:
 # -- numeric commands --------------------------------------------------------------
 
 
-def _returnmap_row(field: PlanarField, c: float, cfg: IntegratorConfig):
-    s = return_map(field, c, cfg)
+def _returnmap_row(field: PlanarField, c: float):
+    s = return_map(field, c)
     row = {"c": s.c, "p_of_c": s.p_of_c, "delta": s.delta, "theta_total": s.theta_total}
     return row, f"c = {s.c}: P(c) = {s.p_of_c!r}, delta = {s.delta!r}"
 
 
-def _period_row(field: PlanarField, c: float, cfg: IntegratorConfig):
-    s = period(field, c, cfg)
+def _period_row(field: PlanarField, c: float):
+    s = period(field, c)
     return {"c": s.c, "period": s.period}, f"c = {s.c}: T(c) = {s.period!r}"
 
 
 def _cmd_samples(args) -> int:
     """returnmap and period: one sample per section abscissa."""
     digest, name, field = _load_system(args.input)
-    cfg = IntegratorConfig()
-    rows = [args.row(field, c, cfg) for c in args.c]
+    rows = [args.row(field, c) for c in args.c]
     results = {
         "name": name,
-        "tolerances": _tolerances(cfg),
+        "tolerances": _tolerances(),
         "samples": [row for row, _ in rows],
     }
-    lines = [f"name: {name}  (rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})"]
+    lines = [f"name: {name}  (rel_tol {REL_TOL}, abs_tol {ABS_TOL})"]
     lines += [line for _, line in rows]
     _show(args, _report(f"{args.command} --input {args.input}", digest, results), lines)
     return 0
@@ -590,22 +589,22 @@ def _cmd_samples(args) -> int:
 
 def _cmd_orbit(args) -> int:
     digest, name, field = _load_system(args.input)
-    cfg = IntegratorConfig()
-    traj = integrate(field, args.x0, args.y0, args.t, cfg)
+    # looked up on the module, where perfbench's tracer wraps it
+    traj = numeric.integrate(field, args.x0, args.y0, args.t)
     write_csv(traj, args.out)
     results = {
         "name": name,
         "out": args.out,
         "samples": len(traj.t),
         "final": [float(traj.x[-1]), float(traj.y[-1])],
-        "tolerances": _tolerances(cfg),
+        "tolerances": _tolerances(),
     }
     rep = _report(
         f"orbit --input {args.input} --t {args.t} --out {args.out}", digest, results
     )
     _show(args, rep, [
         f"wrote {len(traj.t)} samples to {args.out} "
-        f"(rel_tol {cfg.rel_tol}, abs_tol {cfg.abs_tol})"
+        f"(rel_tol {REL_TOL}, abs_tol {ABS_TOL})"
     ])
     return 0
 

@@ -20,10 +20,12 @@ time-parametrized (RK45), so their printed floats do not move. A
 section abscissa that is not a positive finite float ends in
 ``PreconditionFailed``, and so does an ``integrate`` call from a
 non-finite point or to a NaN end time, before SciPy is loaded; an end
-time beyond the budget in either direction ends in ``TimeBudgetExceeded``.
-So does a first return that takes more than ``EVAL_BUDGET`` field
-evaluations (an escaping orbit whose steps collapse long before
-``max_time``); the batch declines on the same budget.
+time beyond ``MAX_TIME`` in either direction ends in
+``TimeBudgetExceeded``. So does a first return that takes more than
+``EVAL_BUDGET`` field evaluations (an escaping orbit whose steps
+collapse long before ``MAX_TIME``), and an orbit that takes more than
+``EVAL_BUDGET`` per 100 time units (and at least ``EVAL_BUDGET``); the
+batch declines on the same budget, which the step loop enforces.
 
 Both integrators run on one explicit Runge-Kutta step loop owned here
 (``_runge_kutta``), not SciPy's: given RK45's or DOP853's tableau, read
@@ -59,7 +61,6 @@ import csv
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,27 +84,16 @@ GUARD_REL = 0.5
 GUARD_ABS = 1e-11
 # |y| at which a refined first-return crossing counts as on the section
 SECTION_ABS = 1e-13
-# field evaluations one first return, or one batched grid, may take. An
-# orbit that escapes (x' = -y, y' = x + x^2 + 2 y^2 - y^3 from c = 0.6)
-# shrinks its steps until t crawls and never reaches max_time; this
-# bound ends it.
+# the relative and absolute tolerances of every integration
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
+# the longest time span of an orbit or a first return
+MAX_TIME = 1e4
+# field evaluations one first return, or one batched grid, may take, and
+# an orbit per 100 time units (at least this many). An orbit that escapes
+# (x' = -y, y' = x + x^2 + 2 y^2 - y^3 from c = 0.6) shrinks its steps
+# until t crawls and never reaches MAX_TIME; this bound ends it.
 EVAL_BUDGET = 500_000
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_time: float = 1e4
-
-    def __post_init__(self):
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not 0.0 < tol <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
-        # a NaN budget compares False against every t_end and every event
-        # time, so the step loop would never stop
-        if not 0.0 < self.max_time < math.inf:
-            raise ValueError(f"max_time must be positive and finite, got {self.max_time}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,9 @@ def solve_ivp(fun, t_span, y0, method="RK45", **options):
 
     ``fun`` and the events get the state as a list of Python floats and
     the result is an ``IvpResult``. Any other method is a ValueError;
-    SciPy's own step loop is never called.
+    SciPy's own step loop is never called. One option is not SciPy's:
+    ``max_nfev`` ends the run with status -2 once an attempted step takes
+    ``nfev`` past it.
     """
     if method not in ("RK45", "DOP853"):
         raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
@@ -147,6 +139,7 @@ _MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
+    -2: "The field evaluation budget ran out.",
 }
 
 
@@ -252,7 +245,8 @@ class _Interpolant:
 
 
 def _runge_kutta(
-    tab: _Tableau, fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6
+    tab: _Tableau, fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6,
+    max_nfev=math.inf,
 ) -> IvpResult:
     """``solve_ivp`` with SciPy's RungeKutta step loop owned here.
 
@@ -267,9 +261,11 @@ def _runge_kutta(
     Every elementwise operation is done on Python floats, which round as
     NumPy's unfused elementwise loops do; where NumPy gives inf or nan
     instead of raising, the code here does too. ``nfev`` counts as
-    SciPy's does: 2 + one per stage for each attempted step. Every event
-    is taken as terminal, the only kind the callers pass; dense output
-    and events are RK45's only, the only method the callers ask them of.
+    SciPy's does: 2 + one per stage for each attempted step; once an
+    attempted step takes it past ``max_nfev`` the run stops there with
+    status -2. Every event is taken as terminal and must have a nonzero
+    ``direction``, the only kind the callers pass; dense output and
+    events are RK45's only, the only method the callers ask them of.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
     the solver's constructor does, and the result is y0 at t0 and
@@ -282,13 +278,6 @@ def _runge_kutta(
     error_norm, error_rows, error_exponent = tab.error_norm, tab.error_rows, tab.error_exponent
     events = () if events is None else tuple(events)
     y = [float(v) for v in y0]
-    if rtol < 100 * sys.float_info.epsilon:
-        warnings.warn(
-            "At least one element of `rtol` is too small. "
-            f"Setting `rtol = np.maximum(rtol, {100 * sys.float_info.epsilon})`.",
-            stacklevel=3,
-        )
-        rtol = 100 * sys.float_info.epsilon
     if t0 == t_bound:
         fun(t0, y)
         return IvpResult(
@@ -331,7 +320,7 @@ def _runge_kutta(
     ts, ys = [t], [y]
     interpolants = []
     t_events = [[] for _ in events]
-    ev_dir = [getattr(ev, "direction", 0) for ev in events]
+    ev_dir = [ev.direction for ev in events]
     g = [ev(t, y) for ev in events]
     brentq, OdeSolution = _scipy_event_tools()
     K[-1] = f
@@ -357,6 +346,9 @@ def _runge_kutta(
             y_new = [v + h * d for v, d in zip(y, k_sol.dot(B).tolist())]
             K[-1] = fun(t + h, y_new)
             nfev += n_stages
+            if nfev > max_nfev:
+                status = -2
+                break
             # the error scale atol + max(|y|, |y_new|) rtol: y is finite
             # and a NaN in y_new wins, as in np.maximum
             scale = [
@@ -375,7 +367,7 @@ def _runge_kutta(
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err**error_exponent)
             rejected = True
-        if status == -1:
+        if status is not None:
             break
         t_old, y_old, t, y = t, y, t_new, y_new
         if direction * (t - t_bound) >= 0:
@@ -389,9 +381,7 @@ def _runge_kutta(
             g_new = [ev(t, y) for ev in events]
             active = [
                 i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
-                if (d > 0 and a <= 0 <= b)
-                or (d < 0 and a >= 0 >= b)
-                or (d == 0 and (a <= 0 <= b or a >= 0 >= b))
+                if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)
             ]
             if active:
                 if interp is None:
@@ -490,31 +480,32 @@ def _rhs(field: PlanarField):
     return rhs
 
 
-def integrate(
-    field: PlanarField,
-    x0: float,
-    y0: float,
-    t_end: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> Trajectory:
-    """Integrate to t_end, one output row per accepted step."""
+def integrate(field: PlanarField, x0: float, y0: float, t_end: float) -> Trajectory:
+    """Integrate to t_end, one output row per accepted step, in at most
+    EVAL_BUDGET field evaluations per 100 time units (at least EVAL_BUDGET)."""
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise PreconditionFailed(f"initial point ({x0}, {y0}) must be finite")
     # a NaN t_end passes the budget check below and never ends the step loop
     if math.isnan(t_end):
         raise PreconditionFailed("t_end must be a number, got nan")
     # either sign: a backward run to -1e6 or -inf would run as long
-    if abs(t_end) > cfg.max_time:
-        raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {cfg.max_time}")
+    if abs(t_end) > MAX_TIME:
+        raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {MAX_TIME}")
+    max_nfev = int(EVAL_BUDGET * max(1.0, abs(t_end) / 100))
     with _float_range():
         sol = solve_ivp(
             _rhs(field),
             (0.0, t_end),
             (x0, y0),
             method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
+            rtol=REL_TOL,
+            atol=ABS_TOL,
             dense_output=False,
+            max_nfev=max_nfev,
+        )
+    if sol.status == -2:
+        raise TimeBudgetExceeded(
+            f"t_end {t_end} not reached within {max_nfev} field evaluations"
         )
     if not sol.success:
         raise StepFailure(sol.message)
@@ -529,7 +520,7 @@ def write_csv(traj: Trajectory, path) -> None:
             writer.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
 
 
-def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
+def _first_return(field: PlanarField, c: float):
     """Integrate the angle-augmented system until theta = 2 pi, then
     polish the section crossing y = 0, x > 0 on the dense output.
 
@@ -540,13 +531,8 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     if not math.isfinite(c):
         raise PreconditionFailed("section abscissa must be finite")
     pq = float_code((field.p, field.q))
-    evals = 0
 
     def rhs(_t, s):
-        nonlocal evals
-        evals += 1
-        if evals > EVAL_BUDGET:
-            raise TimeBudgetExceeded(f"no return within {EVAL_BUDGET} field evaluations")
         x, y, _ = s
         px, qx = pq(x, y)
         return (px, qx, (x * qx - y * px) / (x * x + y * y))
@@ -554,7 +540,6 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     def turn_done(_t, s):
         return s[2] - TWO_PI
 
-    turn_done.terminal = True
     turn_done.direction = 1.0
 
     def stalled(_t, s):
@@ -562,27 +547,29 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
         px, qx = pq(x, y)
         return x * qx - y * px
 
-    stalled.terminal = True
     stalled.direction = -1.0
 
     with _float_range():
         sol = solve_ivp(
             rhs,
-            (0.0, cfg.max_time),
+            (0.0, MAX_TIME),
             (c, 0.0, 0.0),
             method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
+            rtol=REL_TOL,
+            atol=ABS_TOL,
             dense_output=True,
             events=(turn_done, stalled),
+            max_nfev=EVAL_BUDGET,
         )
-    if not sol.success and sol.status == -1:
+    if sol.status == -2:
+        raise TimeBudgetExceeded(f"no return within {EVAL_BUDGET} field evaluations")
+    if sol.status == -1:
         raise StepFailure(sol.message)
     if len(sol.t_events[1]):
         t_bad = sol.t_events[1][0]
         raise AngleStalled(f"theta' vanished at t = {t_bad:.6g}")
     if not len(sol.t_events[0]):
-        raise TimeBudgetExceeded(f"no return within t = {cfg.max_time}")
+        raise TimeBudgetExceeded(f"no return within t = {MAX_TIME}")
     t_star = sol.t_events[0][0]
 
     # Newton on y(t) = 0 from the event time; dense output is smooth here
@@ -612,17 +599,13 @@ def _first_return(field: PlanarField, c: float, cfg: IntegratorConfig):
     return t_cur, float(xy[0]), float(xy[2]), sol
 
 
-def return_map(
-    field: PlanarField, c: float, cfg: IntegratorConfig = IntegratorConfig()
-) -> ReturnMapSample:
-    _, x_cross, theta, _ = _first_return(field, c, cfg)
+def return_map(field: PlanarField, c: float) -> ReturnMapSample:
+    _, x_cross, theta, _ = _first_return(field, c)
     return ReturnMapSample(c=c, p_of_c=x_cross, theta_total=theta, delta=x_cross - c)
 
 
-def period(
-    field: PlanarField, c: float, cfg: IntegratorConfig = IntegratorConfig()
-) -> PeriodSample:
-    t_cross, _, _, _ = _first_return(field, c, cfg)
+def period(field: PlanarField, c: float) -> PeriodSample:
+    t_cross, _, _, _ = _first_return(field, c)
     return PeriodSample(c=c, period=float(t_cross))
 
 
@@ -673,9 +656,7 @@ def find_equilibria(
     return found
 
 
-def _grid_deltas(
-    field: PlanarField, c_grid: Sequence[float], cfg: IntegratorConfig
-) -> list[float] | None:
+def _grid_deltas(field: PlanarField, c_grid: Sequence[float]) -> list[float] | None:
     """delta(c) = P(c) - c for the whole grid from one integration in theta.
 
     The state is (r_1..r_N, t_1..t_N), carried from theta = 0 to 2 pi with
@@ -691,20 +672,15 @@ def _grid_deltas(
     stalls, x q - y p -> 0 drives dr/dtheta without bound and the step
     size collapses), it took more than ``EVAL_BUDGET`` evaluations, the
     field left the float range, or some r(2 pi) is not a positive float
-    or some return time lies outside (0, cfg.max_time].
+    or some return time lies outside (0, MAX_TIME].
     """
     if not all(0.0 < c < math.inf for c in c_grid):
         return None
     n = len(c_grid)
     pq = float_code((field.p, field.q))
     cos, sin = math.cos, math.sin
-    evals = 0
 
     def rhs(theta, s):
-        nonlocal evals
-        evals += 1
-        if evals > EVAL_BUDGET:
-            raise TimeBudgetExceeded
         ct, st = cos(theta), sin(theta)
         out = [0.0] * (2 * n)
         for i in range(n):
@@ -722,18 +698,20 @@ def _grid_deltas(
             (0.0, TWO_PI),
             [float(c) for c in c_grid] + [0.0] * n,
             method="DOP853",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
+            rtol=REL_TOL,
+            atol=ABS_TOL,
+            max_nfev=EVAL_BUDGET,
         )
-    except (OverflowError, ZeroDivisionError, TimeBudgetExceeded):
+    except (OverflowError, ZeroDivisionError):
         return None
-    if sol.status != 0:  # -1: step failure, e.g. where x q - y p reaches 0
+    # -1: step failure, e.g. where x q - y p reaches 0; -2: over the budget
+    if sol.status != 0:
         return None
     end = sol.y[:, -1].tolist()
     r_end, t_end = end[:n], end[n:]
     if not all(map(math.isfinite, end)) or min(r_end) <= 0.0:
         return None
-    if not all(0.0 < t <= cfg.max_time for t in t_end):
+    if not all(0.0 < t <= MAX_TIME for t in t_end):
         return None
     return [r - c for r, c in zip(r_end, c_grid)]
 
@@ -750,7 +728,6 @@ def _batch_decides(deltas: list[float], tol: float) -> bool:
 def numeric_classify(
     field: PlanarField,
     c_grid: Sequence[float],
-    cfg: IntegratorConfig = IntegratorConfig(),
     tol: float | None = None,
 ) -> CenterLike | FocusLike:
     """Displacement-sign hint over a grid of section abscissas.
@@ -769,9 +746,9 @@ def numeric_classify(
         raise PreconditionFailed("empty sample grid")
     if tol is None:
         tol = 1e-9 * max(c_grid)
-    deltas = _grid_deltas(field, c_grid, cfg)
+    deltas = _grid_deltas(field, c_grid)
     if deltas is None or not _batch_decides(deltas, tol):
-        deltas = [return_map(field, c, cfg).delta for c in c_grid]
+        deltas = [return_map(field, c).delta for c in c_grid]
     if max(abs(d) for d in deltas) < tol:
         return CenterLike(tol=tol)
     signs = {1 if d > 0 else -1 for d in deltas if abs(d) >= tol}

@@ -27,6 +27,7 @@ from centerfocus import (
     from_complex,
     to_complex,
 )
+from centerfocus.numeric import ABS_TOL, MAX_TIME, REL_TOL
 
 
 def _gauss_any_solution(rows, rhs):
@@ -273,7 +274,7 @@ def loop_evaluate(p: BiPoly, x, y):
     return total
 
 
-def loop_integrate(field, x0, y0, t_end, cfg):
+def loop_integrate(field, x0, y0, t_end):
     """solve_ivp on the term-loop RHS with NumPy-scalar state; the
     arguments ``numeric.integrate`` passes. Returns the solution."""
 
@@ -283,7 +284,7 @@ def loop_integrate(field, x0, y0, t_end, cfg):
 
     return solve_ivp(
         rhs, (0.0, t_end), (x0, y0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=False,
+        rtol=REL_TOL, atol=ABS_TOL, dense_output=False,
     )
 
 
@@ -297,7 +298,7 @@ def _loop_pq(field):
     return p, q
 
 
-def loop_angle_solution(field, c, cfg):
+def loop_angle_solution(field, c):
     """solve_ivp on the angle-augmented term-loop RHS with the events and
     arguments ``numeric._first_return`` passes: the raw solution, stalled
     or not."""
@@ -323,20 +324,20 @@ def loop_angle_solution(field, c, cfg):
     stalled.direction = -1.0
 
     return solve_ivp(
-        rhs, (0.0, cfg.max_time), (c, 0.0, 0.0), method="RK45",
-        rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        rhs, (0.0, MAX_TIME), (c, 0.0, 0.0), method="RK45",
+        rtol=REL_TOL, atol=ABS_TOL,
         dense_output=True, events=(turn_done, stalled),
     )
 
 
-def loop_first_return(field, c, cfg):
+def loop_first_return(field, c):
     """``numeric._first_return`` on the term-loop evaluator: the same
     angle-augmented integration, events and section polish, with the
     field evaluated on NumPy scalars. Returns (t_cross, x_cross,
     theta_at_cross, solution); raises ValueError where the engine
     raises a typed error."""
     q = _loop_pq(field)[1]
-    sol = loop_angle_solution(field, c, cfg)
+    sol = loop_angle_solution(field, c)
     if sol.status == -1 or len(sol.t_events[1]) or not len(sol.t_events[0]):
         raise ValueError("no first return")
     t_star = sol.t_events[0][0]
@@ -365,7 +366,7 @@ def loop_first_return(field, c, cfg):
     return t_cur, float(xy[0]), float(xy[2]), sol
 
 
-def loop_grid_solution(field, c_grid, cfg):
+def loop_grid_solution(field, c_grid):
     """solve_ivp(method="DOP853") on the term-loop form of the equations
     in theta that ``numeric._grid_deltas`` integrates, with NumPy-scalar
     state and the arguments it passes: the raw solution."""
@@ -386,5 +387,5 @@ def loop_grid_solution(field, c_grid, cfg):
 
     return solve_ivp(
         rhs, (0.0, 2.0 * math.pi), [float(c) for c in c_grid] + [0.0] * n,
-        method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+        method="DOP853", rtol=REL_TOL, atol=ABS_TOL,
     )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import math
@@ -201,6 +202,29 @@ class TestAnalyze:
         assert capsys.readouterr().out == parallel
         reports = json.loads(parallel)
         assert [r["results"]["name"] for r in reports] == ["probe", "probe"]
+
+    def test_batch_pool_is_no_larger_than_the_inputs(self, tmp_path, capsys, monkeypatch):
+        # a fork pool starts all its workers on the first submit; this one
+        # starts none and records how many were asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        paths = [radial_cubic_file(tmp_path, "a.json"), radial_cubic_file(tmp_path, "b.json")]
+        assert main(["analyze", "--input", *paths, "--order", "4", "--jobs", "64"]) == 0
+        assert sizes == [2]
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -554,6 +578,27 @@ class TestNumericCommands:
         assert out.stderr == (
             "centerfocus: TimeBudgetExceeded: no return within 500000 field evaluations\n"
         )
+
+    def test_escaping_orbit_run_is_over_budget(self, tmp_path):
+        # the same escape: orbit once ran until killed, as the budget of a
+        # first return did not reach integrate
+        path = write_system(
+            tmp_path, [],
+            [{"i": 2, "j": 0, "c": 1}, {"i": 0, "j": 2, "c": 2}, {"i": 0, "j": 3, "c": -1}],
+        )
+        src = Path(centerfocus.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerfocus", "orbit", "--input", path,
+             "--x0", "0.6", "--y0", "0", "--t", "100", "--out", "orbit.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == (
+            "centerfocus: TimeBudgetExceeded: "
+            "t_end 100.0 not reached within 500000 field evaluations\n"
+        )
+        assert not (tmp_path / "orbit.csv").exists()
 
 
 class TestCatalogCommand:

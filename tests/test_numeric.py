@@ -15,7 +15,6 @@ from centerfocus import (
     CenterLike,
     FocusLike,
     InverseSpec,
-    IntegratorConfig,
     build_field,
     find_equilibria,
     get,
@@ -57,20 +56,6 @@ TWO_PI = 2.0 * math.pi
 
 def harmonic():
     return nl_field({}, {})
-
-
-def test_config_rejects_bad_tolerances():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.5)
-
-
-@pytest.mark.parametrize("max_time", [math.nan, math.inf, 0.0, -1.0])
-def test_config_rejects_bad_time_budget(max_time):
-    # a NaN budget compares False against every time, so nothing would stop
-    with pytest.raises(ValueError, match="max_time"):
-        IntegratorConfig(max_time=max_time)
 
 
 @pytest.mark.parametrize(
@@ -235,20 +220,19 @@ def test_float_oracle_matches_term_loop_bitwise(make_field):
     """integrate, return_map and period on the compiled kernels reproduce
     solve_ivp on the term-loop RHS (NumPy-scalar state) bit for bit."""
     field = make_field()
-    cfg = IntegratorConfig()
-    traj = integrate(field, 0.1, 0.0, 20.0, cfg)
-    ref = loop_integrate(field, 0.1, 0.0, 20.0, cfg)
+    traj = integrate(field, 0.1, 0.0, 20.0)
+    ref = loop_integrate(field, 0.1, 0.0, 20.0)
     assert same_array(traj.t, ref.t)
     assert same_array(traj.x, ref.y[0]) and same_array(traj.y, ref.y[1])
 
     c = 0.05
-    want_t, want_x, want_theta, want_sol = loop_first_return(field, c, cfg)
-    sol = _first_return(field, c, cfg)[3]
+    want_t, want_x, want_theta, want_sol = loop_first_return(field, c)
+    sol = _first_return(field, c)[3]
     assert same_array(sol.t, want_sol.t) and same_array(sol.y, want_sol.y)
     assert all(same_array(a, b) for a, b in zip(sol.t_events, want_sol.t_events))
-    sample = return_map(field, c, cfg)
+    sample = return_map(field, c)
     assert same_array(sample.p_of_c, want_x) and same_array(sample.theta_total, want_theta)
-    assert same_array(period(field, c, cfg).period, float(want_t))
+    assert same_array(period(field, c).period, float(want_t))
 
 
 # -- the owned RK45 step loop against SciPy's ---------------------------------
@@ -280,12 +264,11 @@ def same_run(got, want):
 @pytest.mark.parametrize("make_field", DIFFERENTIAL_FIELDS)
 def test_owned_rk45_counts_steps_and_evaluations_as_scipy(make_field, monkeypatch):
     field = make_field()
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    integrate(field, 0.1, 0.0, 20.0, cfg)
-    return_map(field, 0.05, cfg)
-    ref_orbit = loop_integrate(field, 0.1, 0.0, 20.0, cfg)
-    ref_angle = loop_angle_solution(field, 0.05, cfg)
+    integrate(field, 0.1, 0.0, 20.0)
+    return_map(field, 0.05)
+    ref_orbit = loop_integrate(field, 0.1, 0.0, 20.0)
+    ref_angle = loop_angle_solution(field, 0.05)
     for got, want in zip(runs, (ref_orbit, ref_angle), strict=True):
         same_run(got, want)
         # 2 evaluations to pick the first step, 6 per attempted step
@@ -297,10 +280,9 @@ def test_owned_rk45_counts_steps_and_evaluations_as_scipy(make_field, monkeypatc
 def test_owned_rk45_rejected_steps_match_scipy(monkeypatch):
     # a far start on a seeded cubic: 503 accepted and 3 rejected steps
     field = seeded_focus_field("cubic", 1)
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    integrate(field, 1.5, 0.0, 3.0, cfg)
-    want = loop_integrate(field, 1.5, 0.0, 3.0, cfg)
+    integrate(field, 1.5, 0.0, 3.0)
+    want = loop_integrate(field, 1.5, 0.0, 3.0)
     same_run(runs[0], want)
     assert (want.nfev - 2) // 6 - (len(want.t) - 1) == 3
 
@@ -309,21 +291,19 @@ def test_owned_rk45_step_size_failure_matches_scipy(monkeypatch):
     # this orbit blows up before t = 3: the step size collapses after
     # 2 276 steps and 6 rejections, as in SciPy
     field = seeded_focus_field("cubic", 3)
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
     with pytest.raises(StepFailure, match="less than spacing"):
-        integrate(field, 2.0, 0.0, 3.0, cfg)
-    want = loop_integrate(field, 2.0, 0.0, 3.0, cfg)
+        integrate(field, 2.0, 0.0, 3.0)
+    want = loop_integrate(field, 2.0, 0.0, 3.0)
     assert want.status == -1
     same_run(runs[0], want)
 
 
 def test_owned_rk45_backward_run_matches_scipy(monkeypatch):
     field = hamiltonian_field(12)
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    traj = integrate(field, 0.1, 0.0, -5.0, cfg)
-    want = loop_integrate(field, 0.1, 0.0, -5.0, cfg)
+    traj = integrate(field, 0.1, 0.0, -5.0)
+    want = loop_integrate(field, 0.1, 0.0, -5.0)
     same_run(runs[0], want)
     assert traj.t[-1] == -5.0 and np.all(np.diff(traj.t) < 0)
 
@@ -333,11 +313,10 @@ def test_owned_rk45_overflowing_step_estimate_matches_scipy(monkeypatch):
     # |f / scale| above 1e154 at the start: the first-step estimate's d1
     # overflows to inf and its h0 to 0, and SciPy carries on from min_step
     field = nl_field({(2, 0): 10**150}, {})
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
     with pytest.raises(StepFailure, match="less than spacing"):
-        integrate(field, 0.1, 0.0, 1.0, cfg)
-    want = loop_integrate(field, 0.1, 0.0, 1.0, cfg)
+        integrate(field, 0.1, 0.0, 1.0)
+    want = loop_integrate(field, 0.1, 0.0, 1.0)
     assert want.status == -1
     same_run(runs[0], want)
 
@@ -346,10 +325,9 @@ def test_owned_rk45_overflowing_step_estimate_matches_scipy(monkeypatch):
 def test_owned_rk45_empty_span_matches_scipy(monkeypatch, t_end):
     # no step: one evaluation, and y0 at t0 and at the end time as given
     field = hamiltonian_field(12)
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    traj = integrate(field, 0.1, 0.0, t_end, cfg)
-    want = loop_integrate(field, 0.1, 0.0, t_end, cfg)
+    traj = integrate(field, 0.1, 0.0, t_end)
+    want = loop_integrate(field, 0.1, 0.0, t_end)
     assert want.nfev == 1 and list(want.t) == [0.0, 0.0]
     same_run(runs[0], want)
     assert same_array(traj.t, want.t)
@@ -358,11 +336,10 @@ def test_owned_rk45_empty_span_matches_scipy(monkeypatch, t_end):
 def test_owned_rk45_stalled_angle_event_matches_scipy(monkeypatch):
     # tests/data/cli/stalled.json: x' = -y, y' = x + x^2; theta' reaches 0
     field = nl_field({}, {(2, 0): 1})
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
     with pytest.raises(AngleStalled, match="theta' vanished at t = 3.44004"):
-        return_map(field, 0.6, cfg)
-    want = loop_angle_solution(field, 0.6, cfg)
+        return_map(field, 0.6)
+    want = loop_angle_solution(field, 0.6)
     assert want.status == 1 and len(want.t_events[1]) == 1
     same_run(runs[0], want)
     assert same_array(runs[0].t_events[1], want.t_events[1])
@@ -436,10 +413,40 @@ def test_escaping_orbit_ends_in_the_evaluation_budget(call):
     assert time.perf_counter() - start < 60
 
 
+def test_escaping_orbit_ends_in_its_evaluation_budget(monkeypatch):
+    # the same escape from x0 = 0.6; an orbit to t = 100 may take EVAL_BUDGET
+    runs = recorded_solutions(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(
+        TimeBudgetExceeded,
+        match=f"^t_end 100.0 not reached within {numeric.EVAL_BUDGET} field evaluations$",
+    ):
+        integrate(kukles_field(), 0.6, 0.0, 100.0)
+    assert time.perf_counter() - start < 60
+    (run,) = runs
+    assert run.status == -2
+    assert numeric.EVAL_BUDGET < run.nfev <= numeric.EVAL_BUDGET + 6
+
+
+def test_orbit_budget_scales_with_the_end_time(monkeypatch):
+    # EVAL_BUDGET per 100 time units: t_end = 150 may take 1.5 EVAL_BUDGET
+    runs = recorded_solutions(monkeypatch)
+    integrate(harmonic(), 1.0, 0.0, 150.0)
+    need = runs[0].nfev
+    monkeypatch.setattr(numeric, "EVAL_BUDGET", math.ceil(need / 1.5))
+    integrate(harmonic(), 1.0, 0.0, 150.0)
+    monkeypatch.setattr(numeric, "EVAL_BUDGET", math.floor((need - 1) / 1.5))
+    with pytest.raises(TimeBudgetExceeded, match="not reached"):
+        integrate(harmonic(), 1.0, 0.0, 150.0)
+
+
 def test_grid_batch_declines_on_the_evaluation_budget(monkeypatch):
     runs = recorded_solutions(monkeypatch)
-    assert _grid_deltas(kukles_field(), (0.1, 0.6), IntegratorConfig()) is None
-    assert runs == []  # the budget ended the integration from inside its rhs
+    assert _grid_deltas(kukles_field(), (0.1, 0.6)) is None
+    # the loop stops after the attempted step (12 evaluations) that passed the budget
+    (run,) = runs
+    assert run.status == -2
+    assert numeric.EVAL_BUDGET < run.nfev <= numeric.EVAL_BUDGET + 12
 
 
 # -- the batched grid route of numeric_classify ----------------------------------
@@ -460,10 +467,9 @@ def seeded_focus_field(kind, seed):
 @pytest.mark.parametrize("make_field", DIFFERENTIAL_FIELDS)
 def test_owned_dop853_matches_scipy(make_field, monkeypatch):
     field = make_field()
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    _grid_deltas(field, GRID, cfg)
-    want = loop_grid_solution(field, GRID, cfg)
+    _grid_deltas(field, GRID)
+    want = loop_grid_solution(field, GRID)
     same_run(runs[0], want)
     # 2 evaluations to pick the first step, 12 per attempted step
     assert (want.nfev - 2) % 12 == 0 and (want.nfev - 2) // 12 >= len(want.t) - 1
@@ -472,10 +478,9 @@ def test_owned_dop853_matches_scipy(make_field, monkeypatch):
 def test_owned_dop853_rejected_steps_match_scipy(monkeypatch):
     # a seeded Bautin grid: 60 accepted and 14 rejected steps
     field = seeded_focus_field("bautin", 3)
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    _grid_deltas(field, GRID, cfg)
-    want = loop_grid_solution(field, GRID, cfg)
+    _grid_deltas(field, GRID)
+    want = loop_grid_solution(field, GRID)
     same_run(runs[0], want)
     assert want.status == 0 and len(want.t) - 1 == 60
     assert (want.nfev - 2) // 12 - (len(want.t) - 1) == 14
@@ -485,10 +490,9 @@ def test_owned_dop853_step_size_failure_matches_scipy(monkeypatch):
     # tests/data/cli/stalled.json: theta' reaches 0 on the orbit through 0.6,
     # where dr/dtheta grows without bound and the step size collapses
     field = nl_field({}, {(2, 0): 1})
-    cfg = IntegratorConfig()
     runs = recorded_solutions(monkeypatch)
-    assert _grid_deltas(field, (0.05, 0.6), cfg) is None
-    want = loop_grid_solution(field, (0.05, 0.6), cfg)
+    assert _grid_deltas(field, (0.05, 0.6)) is None
+    want = loop_grid_solution(field, (0.05, 0.6))
     assert want.status == -1
     same_run(runs[0], want)
 
@@ -548,11 +552,11 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def per_sample_outcome(monkeypatch, field, c_grid, cfg=IntegratorConfig(), tol=None):
+def per_sample_outcome(monkeypatch, field, c_grid, tol=None):
     """numeric_classify with the batch declining: one return map per point."""
     with monkeypatch.context() as m:
         m.setattr(numeric, "_grid_deltas", lambda *args: None)
-        return outcome(lambda: numeric_classify(field, c_grid, cfg, tol))
+        return outcome(lambda: numeric_classify(field, c_grid, tol))
 
 
 def count_return_maps(monkeypatch):
@@ -570,7 +574,7 @@ def count_return_maps(monkeypatch):
 @pytest.mark.parametrize("make_field", GRID_FIELDS)
 def test_grid_deltas_match_return_map(make_field, monkeypatch):
     field = make_field()
-    batch = _grid_deltas(field, GRID, IntegratorConfig())
+    batch = _grid_deltas(field, GRID)
     try:
         single = [return_map(field, c).delta for c in GRID]
     except AngleStalled:  # hamiltonian-11 and -13 stall at c = 0.2
@@ -589,7 +593,7 @@ def test_grid_deltas_radial_closed_form(a):
     # x' = -y + a x r^2, y' = x + a y r^2: r' = a r^3, one turn takes 2 pi,
     # so P(c) = c / sqrt(1 - 4 pi a c^2)
     field = nl_field({(3, 0): a, (1, 2): a}, {(2, 1): a, (0, 3): a})
-    deltas = _grid_deltas(field, GRID, IntegratorConfig())
+    deltas = _grid_deltas(field, GRID)
     for c, d in zip(GRID, deltas):
         truth = c / math.sqrt(1.0 - 4.0 * math.pi * float(a) * c * c)
         assert abs((c + d) - truth) <= 1e-11 * truth
@@ -597,42 +601,43 @@ def test_grid_deltas_radial_closed_form(a):
 
 FALLBACKS = [
     pytest.param(
-        nl_field({}, {(2, 0): 1}), (0.05, 0.6), IntegratorConfig(),
+        nl_field({}, {(2, 0): 1}), (0.05, 0.6), numeric.MAX_TIME,
         (AngleStalled, "theta' vanished at t = 3.44004"), id="stalled",
     ),
     pytest.param(
-        straddle_field(), (0.2, 0.8), IntegratorConfig(), None, id="straddle",
+        straddle_field(), (0.2, 0.8), numeric.MAX_TIME, None, id="straddle",
     ),
     pytest.param(
-        harmonic(), GRID, IntegratorConfig(max_time=1.0),
+        harmonic(), GRID, 1.0,
         (TimeBudgetExceeded, "no return within t = 1.0"), id="time-budget",
     ),
     pytest.param(
-        harmonic(), (-0.1, 0.1), IntegratorConfig(),
+        harmonic(), (-0.1, 0.1), numeric.MAX_TIME,
         (PreconditionFailed, "section abscissa must be positive"), id="negative-c",
     ),
     pytest.param(
-        harmonic(), (0.0, 0.1), IntegratorConfig(),
+        harmonic(), (0.0, 0.1), numeric.MAX_TIME,
         (PreconditionFailed, "section abscissa must be positive"), id="zero-c",
     ),
 ]
 
 
-@pytest.mark.parametrize("field, c_grid, cfg, want", FALLBACKS)
-def test_batch_declines_and_per_sample_route_reports(field, c_grid, cfg, want, monkeypatch):
+@pytest.mark.parametrize("field, c_grid, max_time, want", FALLBACKS)
+def test_batch_declines_and_per_sample_route_reports(field, c_grid, max_time, want, monkeypatch):
+    monkeypatch.setattr(numeric, "MAX_TIME", max_time)
     if want is None:  # Inconsistent, with the per-sample deltas in the message
-        deltas = [return_map(field, c, cfg).delta for c in c_grid]
+        deltas = [return_map(field, c).delta for c in c_grid]
         want = (Inconsistent, f"displacement signs disagree: {deltas}")
-    batch = _grid_deltas(field, c_grid, cfg)
+    batch = _grid_deltas(field, c_grid)
     assert batch is None or not _batch_decides(batch, 1e-9 * max(c_grid))
-    assert outcome(lambda: numeric_classify(field, c_grid, cfg)) == want
-    assert per_sample_outcome(monkeypatch, field, c_grid, cfg) == want
+    assert outcome(lambda: numeric_classify(field, c_grid)) == want
+    assert per_sample_outcome(monkeypatch, field, c_grid) == want
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
 def test_grid_deltas_decline_nonfinite_abscissas(c):
     # left to the per-sample route, whatever it makes of them
-    assert _grid_deltas(harmonic(), (0.1, c), IntegratorConfig()) is None
+    assert _grid_deltas(harmonic(), (0.1, c)) is None
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
@@ -653,7 +658,7 @@ def test_nonfinite_abscissa_is_a_precondition(call, c):
 
 def test_tol_in_guard_band_uses_return_map(monkeypatch):
     field = radial_cubic()
-    batch = _grid_deltas(field, GRID, IntegratorConfig())
+    batch = _grid_deltas(field, GRID)
     tol = 0.8 * abs(batch[0])  # |delta(0.05)| lies within tol / 2 of tol
     assert not _batch_decides(batch, tol)
     calls = count_return_maps(monkeypatch)
