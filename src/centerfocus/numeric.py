@@ -19,7 +19,7 @@ the reported ones. ``return_map``, ``period`` and ``integrate`` stay
 time-parametrized (RK45), so their printed floats do not move. A
 section abscissa that is not a positive finite float ends in
 ``PreconditionFailed``, and so does an ``integrate`` call from a
-non-finite point or to a NaN end time, before SciPy is loaded; an end
+non-finite point or to a NaN end time, before any step is taken; an end
 time beyond ``MAX_TIME`` in either direction ends in
 ``TimeBudgetExceeded``. So does a first return that takes more than
 ``EVAL_BUDGET`` field evaluations (an escaping orbit whose steps
@@ -28,13 +28,13 @@ collapse long before ``MAX_TIME``), and an orbit that takes more than
 batch declines on the same budget, which the step loop enforces.
 
 Both integrators run on one explicit Runge-Kutta step loop owned here
-(``_runge_kutta``), not SciPy's: given RK45's or DOP853's tableau, read
-from SciPy's class, it takes SciPy's steps bit for bit, initial step,
-step control, error norm, dense output and event location included,
-with every stage, solution and error sum still a BLAS dot product on
-one stage array and everything elementwise on Python floats. Those sums
-run in the host's BLAS, which may fuse multiply-adds, so the printed
-floats still depend on it, as they did under SciPy's loop.
+(``_runge_kutta``), not SciPy's: given RK45's or DOP853's tableau, it
+takes SciPy's steps bit for bit, initial step, step control, error
+norm, dense output and event location included, with every stage,
+solution and error sum still a BLAS dot product on one stage array and
+everything elementwise on Python floats. Those sums run in the host's
+BLAS, which may fuse multiply-adds, so the printed floats still depend
+on it, as they did under SciPy's loop.
 
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
@@ -43,24 +43,28 @@ orbits, return maps and periods do not depend on the kernel. A field
 that leaves the float range (``x**e`` overflowing) or an angle equation
 evaluated at the origin ends in ``StepFailure``.
 
-SciPy is imported on the first integration, not with this module, so
-the symbolic engine and its commands run without loading it; the
-tableaux are read from ``scipy.integrate`` then. ``solve_ivp`` and
-``brentq`` are module-level functions: ``solve_ivp`` runs RK45 and
-DOP853 on the owned loop and refuses other methods, ``brentq`` forwards
-to SciPy's. The integrators here look them up as module globals at
+Nothing here imports SciPy. The pieces of it the loop needs are copies:
+the two tableaux are module constants with SciPy's exact floats, events
+are located by ``_brentq``, a port of SciPy's C brentq, and the dense
+solution is ``_DenseSolution``, SciPy's ``OdeSolution`` lookup over
+forward steps. The tests check each against the installed SciPy.
+``solve_ivp`` and ``brentq`` are module-level functions: ``solve_ivp``
+runs RK45 and DOP853 on the owned loop and refuses other methods, and
+``brentq`` is ``_brentq`` behind SciPy's signature, defaults and
+argument checks. The integrators here look them up as module globals at
 call time, so a wrapper set on this module (as perfbench's tracer does)
-sees every call; event location inside the loop calls SciPy's brentq
-directly, as SciPy's own loop does.
+sees every call; event location inside the loop calls ``_brentq``
+directly, as SciPy's own loop calls its brentq, so only the section
+fallback of ``_first_return`` goes through ``brentq``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,7 +107,7 @@ class IvpResult:
 
     t: np.ndarray
     y: np.ndarray
-    sol: object  # scipy.integrate.OdeSolution, or None without dense output
+    sol: object  # a _DenseSolution, or None without dense output
     t_events: list | None
     nfev: int
     status: int
@@ -127,7 +131,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", **options):
     if method not in ("RK45", "DOP853"):
         raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
     t0, t_bound = map(float, t_span)
-    return _runge_kutta(_tableau(method), fun, t0, t_bound, y0, **options)
+    return _runge_kutta(_TABLEAUX[method], fun, t0, t_bound, y0, **options)
 
 
 # scipy.integrate's RungeKutta step-size control (scipy/integrate/_ivp/rk.py)
@@ -135,6 +139,7 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 EVENT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event brentq xtol and rtol
+BRENTQ_MAXITER = 100  # scipy.optimize.brentq's default, which solve_ivp keeps
 _MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
     0: "The solver successfully reached the end of the integration interval.",
@@ -194,29 +199,96 @@ class _Tableau:
     P: np.ndarray | None  # the dense-output matrix; RK45's only
 
 
-@functools.cache
-def _tableau(method: str) -> _Tableau:
-    """The pair for ``method``, read from SciPy's class on first use."""
-    from scipy.integrate import DOP853, RK45
-
-    if method == "RK45":
-        return _Tableau(
-            RK45.A, RK45.B, RK45.C.tolist(), (RK45.E,), _rk45_error_norm,
-            -1 / (RK45.error_estimator_order + 1), RK45.P,
-        )
-    return _Tableau(
-        DOP853.A, DOP853.B, DOP853.C.tolist(), (DOP853.E5, DOP853.E3),
-        _dop853_error_norm, -1 / (DOP853.error_estimator_order + 1), None,
-    )
+def _padded(rows: list[list[float]], width: int) -> np.ndarray:
+    """A matrix from its rows, each without its trailing zeros."""
+    return np.array([row + [0.0] * (width - len(row)) for row in rows])
 
 
-@functools.cache
-def _scipy_event_tools():
-    """SciPy's brentq and OdeSolution, loaded with the first integration."""
-    from scipy.integrate import OdeSolution
-    from scipy.optimize import brentq
-
-    return brentq, OdeSolution
+# The tableaux of scipy.integrate.RK45 and DOP853: every float is the repr
+# of SciPy's (1.17.1), so the steps are SciPy's to the bit.
+_TABLEAUX = {
+    "RK45": _Tableau(
+        A=_padded([
+            [],
+            [0.2],
+            [0.075, 0.225],
+            [0.9777777777777777, -3.7333333333333334, 3.5555555555555554],
+            [2.9525986892242035, -11.595793324188385, 9.822892851699436, -0.2908093278463649],
+            [2.8462752525252526, -10.757575757575758, 8.906422717743473, 0.2784090909090909,
+             -0.2735313036020583],
+        ], 5),
+        B=np.array([
+            0.09114583333333333, 0.0, 0.44923629829290207, 0.6510416666666666,
+            -0.322376179245283, 0.13095238095238096,
+        ]),
+        C=[0.0, 0.2, 0.3, 0.8, 0.8888888888888888, 1.0],
+        error_rows=(np.array([
+            -0.0012326388888888888, 0.0, 0.0042527702905061394, -0.03697916666666667,
+            0.05086379716981132, -0.0419047619047619, 0.025,
+        ]),),
+        error_norm=_rk45_error_norm,
+        error_exponent=-1 / (4 + 1),
+        P=np.array([
+            [1.0, -2.8535800653862835, 3.0717434641059005, -1.1270175653862835],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 4.023133379230305, -6.249321565289, 2.675424484351598],
+            [0.0, -3.7324019615885042, 10.068970589843675, -5.685526961588504],
+            [0.0, 2.5548038301849423, -6.399112377351017, 3.5219323679207912],
+            [0.0, -1.3744241142186024, 3.272657752246729, -1.7672812570757455],
+            [0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144],
+        ]),
+    ),
+    "DOP853": _Tableau(
+        A=_padded([
+            [],
+            [0.05260015195876773],
+            [0.0197250569845379, 0.0591751709536137],
+            [0.02958758547680685, 0.0, 0.08876275643042054],
+            [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+            [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+            [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+             -0.017578125],
+            [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+             -0.015319437748624402, 0.008273789163814023],
+            [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+             27.59209969944671, 20.154067550477894, -43.48988418106996],
+            [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+             21.230051448181193, 15.279233632882423, -33.28821096898486,
+             -0.020331201708508627],
+            [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+             -8.149787010746927, -18.52006565999696, 22.739487099350505,
+             2.4936055526796523, -3.0467644718982196],
+            [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+             -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+             -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+        ], 12),
+        B=np.array([
+            0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+        ]),
+        C=[
+            0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+            0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+            0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+        ],
+        error_rows=(
+            np.array([  # E5
+                0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+            ]),
+            np.array([  # E3
+                -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+            ]),
+        ),
+        error_norm=_dop853_error_norm,
+        error_exponent=-1 / (7 + 1),
+        P=None,
+    ),
+}
 
 
 class _Interpolant:
@@ -239,9 +311,23 @@ class _Interpolant:
         qp = self.Q.dot(np.array((x, x2, x3, x3 * x))).tolist()
         return [yo + h * v for yo, v in zip(self.y_old, qp)]
 
-    def __call__(self, t):
-        # OdeSolution calls this with a scalar t, the only kind asked here
-        return np.array(self.at(float(t)))
+
+
+class _DenseSolution:
+    """``scipy.integrate.OdeSolution`` over forward steps: t picks the step
+    whose span holds it, the earlier one at a step time, and before the
+    first step or past the last the nearest step's interpolant is
+    extrapolated. The value is a list of floats."""
+
+    __slots__ = ("ts", "interpolants")
+
+    def __init__(self, ts: list[float], interpolants: list[_Interpolant]):
+        self.ts = ts
+        self.interpolants = interpolants
+
+    def __call__(self, t: float) -> list[float]:
+        last = len(self.interpolants) - 1
+        return self.interpolants[min(max(bisect_left(self.ts, t) - 1, 0), last)].at(t)
 
 
 def _runge_kutta(
@@ -257,7 +343,8 @@ def _runge_kutta(
     ``ndarray.dot`` on one reused stage array K (the same BLAS calls as
     SciPy's ``np.dot``, so the same fused or unfused rounding), the
     tableau's error norm with each vector norm taken on an ndarray, and
-    each terminal event located by brentq on the step's interpolant.
+    each terminal event located by ``_brentq`` on the step's interpolant
+    with solve_ivp's tolerances.
     Every elementwise operation is done on Python floats, which round as
     NumPy's unfused elementwise loops do; where NumPy gives inf or nan
     instead of raising, the code here does too. ``nfev`` counts as
@@ -265,7 +352,8 @@ def _runge_kutta(
     attempted step takes it past ``max_nfev`` the run stops there with
     status -2. Every event is taken as terminal and must have a nonzero
     ``direction``, the only kind the callers pass; dense output and
-    events are RK45's only, the only method the callers ask them of.
+    events are RK45's only, the only method the callers ask them of, and
+    dense output runs forward only, the only way the callers ask it.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
     the solver's constructor does, and the result is y0 at t0 and
@@ -274,6 +362,8 @@ def _runge_kutta(
     """
     if (dense_output or events) and tab.P is None:
         raise ValueError("dense output and events need the RK45 tableau")
+    if dense_output and t_bound < t0:
+        raise ValueError("dense output runs forward only")
     A, B, C, P = tab.A, tab.B, tab.C, tab.P
     error_norm, error_rows, error_exponent = tab.error_norm, tab.error_rows, tab.error_exponent
     events = () if events is None else tuple(events)
@@ -322,7 +412,6 @@ def _runge_kutta(
     t_events = [[] for _ in events]
     ev_dir = [ev.direction for ev in events]
     g = [ev(t, y) for ev in events]
-    brentq, OdeSolution = _scipy_event_tools()
     K[-1] = f
     status = None
     while status is None:
@@ -387,9 +476,9 @@ def _runge_kutta(
                 if interp is None:
                     interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
                 roots = [
-                    brentq(
+                    _brentq(
                         lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
-                        t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL,
+                        t_old, t, EVENT_TOL, EVENT_TOL, BRENTQ_MAXITER,
                     )
                     for i in active
                 ]
@@ -410,7 +499,7 @@ def _runge_kutta(
     return IvpResult(
         t=t_arr,
         y=np.array(ys).T,
-        sol=OdeSolution(t_arr, interpolants) if dense_output else None,
+        sol=_DenseSolution(ts, interpolants) if dense_output else None,
         t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
         nfev=nfev,
         status=status,
@@ -418,11 +507,90 @@ def _runge_kutta(
     )
 
 
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on the first call."""
-    from scipy.optimize import brentq
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0
 
-    return brentq(*args, **kwargs)
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """SciPy's brentq, ported line for line from its C source
+    (scipy/optimize/Zeros/brentq.c), with the NaN check of its Python
+    wrapper: a root of f in [xa, xb] to within xtol + rtol |x| (Brent,
+    Algorithms for Minimization without Derivatives, ch. 4).
+
+    The C source's arithmetic, unfused, is the arithmetic of Python
+    floats; its one division that can meet 0, the extrapolation's, gives
+    inf or nan there, which bisects, and so does the code here.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            # C's MIN(a, b): a < b ? a : b
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:  # good short step
+                spre = scur
+                scur = stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon  # brentq's default and smallest rtol
+
+
+def brentq(
+    f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL,
+    maxiter: int = BRENTQ_MAXITER,
+) -> float:
+    """``scipy.optimize.brentq`` with its defaults and argument checks, on
+    ``_brentq``: a root of f in the bracket [a, b], where f changes sign."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    return _brentq(f, float(a), float(b), xtol, rtol, maxiter)
 
 
 @contextlib.contextmanager
@@ -575,7 +743,7 @@ def _first_return(field: PlanarField, c: float):
     # Newton on y(t) = 0 from the event time; dense output is smooth here
     t_cur = t_star
     for _ in range(8):
-        x_val, y_val, _ = sol.sol(t_cur).tolist()
+        x_val, y_val, _ = sol.sol(t_cur)
         if abs(y_val) <= SECTION_ABS:
             break
         with _float_range():
@@ -596,7 +764,7 @@ def _first_return(field: PlanarField, c: float):
             raise StepFailure("section crossing could not be refined")
     if xy[0] <= 0:
         raise AngleStalled("section crossing landed at nonpositive x")
-    return t_cur, float(xy[0]), float(xy[2]), sol
+    return t_cur, xy[0], xy[2], sol
 
 
 def return_map(field: PlanarField, c: float) -> ReturnMapSample:

@@ -663,12 +663,13 @@ class TestCatalogCommand:
 CLI_DATA = Path(__file__).parent / "data" / "cli"
 
 
-def scipy_loaded_after(argv):
-    """Run centerfocus.cli.main(argv), or only import the package when argv
-    is None, in a fresh interpreter with this one's -O level; return its
-    exit status and whether SciPy was imported."""
+def scipy_loaded_after(argv, setup=""):
+    """Run the statement setup, then centerfocus.cli.main(argv), or only
+    import the package when argv is None, in a fresh interpreter with this
+    one's -O level; return its exit status and whether SciPy was imported."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        exec(sys.argv[2])
         argv = json.loads(sys.argv[1])
         if argv is None:
             import centerfocus
@@ -683,7 +684,7 @@ def scipy_loaded_after(argv):
     env = {**os.environ, "PYTHONPATH": str(src)}
     flags = ["-O"] * sys.flags.optimize
     out = subprocess.run(
-        [sys.executable, *flags, "-c", script, json.dumps(argv)],
+        [sys.executable, *flags, "-c", script, json.dumps(argv), setup],
         cwd=CLI_DATA, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return tuple(json.loads(out.stdout))
@@ -701,9 +702,27 @@ def test_symbolic_commands_never_load_scipy(argv):
     assert scipy_loaded_after(argv) == (0, False)
 
 
-def test_classify_loads_scipy():
-    # the probe above can see SciPy: a float integration imports it
-    assert scipy_loaded_after(["classify", "--input", "bautin.json"]) == (0, True)
+FLOAT_COMMANDS = {
+    "classify": ["classify", "--input", "bautin.json"],
+    "returnmap": ["returnmap", "--input", "bautin.json", "--c", "0.1"],
+    "period": ["period", "--input", "bautin.json", "--c", "0.1"],
+    "orbit": ["orbit", "--input", "bautin.json", "--x0", "0.1", "--y0", "0", "--t", "5", "--out"],
+}
+
+
+def float_argv(name, tmp_path):
+    return FLOAT_COMMANDS[name] + ([str(tmp_path / "orbit.csv")] if name == "orbit" else [])
+
+
+@pytest.mark.parametrize("name", FLOAT_COMMANDS)
+def test_float_commands_never_load_scipy(name, tmp_path):
+    assert scipy_loaded_after(float_argv(name, tmp_path)) == (0, False)
+
+
+def test_scipy_probe_sees_an_import():
+    # the probes above can see SciPy: a run that imports it reads it loaded
+    argv = FLOAT_COMMANDS["classify"]
+    assert scipy_loaded_after(argv, setup="import scipy.integrate") == (0, True)
 
 
 class TestParserReuse:

@@ -13,11 +13,16 @@ The stored bytes are the reference: when a case differs, the CLI changed.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import centerfocus
 from centerfocus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -127,3 +132,36 @@ def test_numeric_cases_replay_without_scipy_step_loops(golden, tmp_path, monkeyp
     assert len(names) == 20
     for name in names:
         assert run_case(ALL_CASES[name], capsys) == golden[name], name
+
+
+def test_numeric_cases_replay_with_scipy_unimportable(golden, tmp_path):
+    """The numeric commands print their stored bytes in an interpreter
+    where importing SciPy fails."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        from centerfocus.cli import main
+        out = {}
+        for name, argv in json.loads(sys.argv[1]).items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            out[name] = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+        print(json.dumps(out))
+    """)
+    for src in (DATA / "cli").iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    cases = {n: argv for n, argv in sorted(ALL_CASES.items()) if argv[0] in NUMERIC_COMMANDS}
+    env = {k: v for k, v in os.environ.items() if k != "CF_MAX_DEGREE"}
+    env["PYTHONPATH"] = str(Path(centerfocus.__file__).resolve().parents[1])
+    flags = ["-O"] * sys.flags.optimize
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script, json.dumps(cases)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = json.loads(out.stdout)
+    assert len(got) == 20
+    assert got == {name: golden[name] for name in cases}

@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+import scipy.integrate
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 from centerfocus import (
     BiPoly,
@@ -535,6 +538,111 @@ def test_owned_dop853_zero_error_denominator_is_nan_as_in_scipy(monkeypatch):
     assert norms and all(math.isnan(e) for e in norms)
     assert want.status == -1 and list(want.t) == [0.0]
     same_run(numeric.solve_ivp(fun, (0.0, 1.0), [1.0], method="DOP853"), want)
+
+
+# -- the owned tableaux, brentq and dense solution against SciPy's --------------
+
+
+@pytest.mark.parametrize("method, error_rows, order", [
+    ("RK45", ("E",), 4),
+    ("DOP853", ("E5", "E3"), 7),
+])
+def test_tableaux_are_scipys(method, error_rows, order):
+    tab = numeric._TABLEAUX[method]
+    cls = getattr(scipy.integrate, method)
+    assert cls.error_estimator_order == order
+    assert tab.error_exponent == -1 / (order + 1)
+    assert same_array(tab.A, cls.A) and same_array(tab.B, cls.B)
+    assert same_array(tab.C, cls.C)
+    assert len(tab.error_rows) == len(error_rows)
+    assert all(same_array(got, getattr(cls, name)) for got, name in zip(tab.error_rows, error_rows))
+    if method == "RK45":
+        assert same_array(tab.P, cls.P)
+    else:
+        assert tab.P is None
+
+
+def brentq_outcome(call):
+    """The root call() finds, bits and sign of zero included, or the type
+    and message of its error."""
+    try:
+        return repr(call())
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# bracketed functions of different shape: smooth, flat at the root (long
+# bisection runs), steep, a jump, and one that bends; the scale reaches
+# values whose products underflow, where the C source reads signs by signbit
+BRENTQ_SHAPES = {
+    "cubic": lambda r: lambda x: (x - r) ** 3 + 0.1 * (x - r),
+    "flat": lambda r: lambda x: (x - r) ** 7,
+    "steep": lambda r: lambda x: math.tanh(40.0 * (x - r)),
+    "jump": lambda r: lambda x: 1.0 if x > r else -1.0,
+    "bend": lambda r: lambda x: math.exp(x) - math.exp(r) + 0.3 * math.sin(5.0 * x),
+}
+
+
+@pytest.mark.parametrize("xtol, rtol", [
+    (numeric.EVENT_TOL, numeric.EVENT_TOL),
+    (1e-15, numeric.EVENT_TOL),
+    (1e-6, 1e-9),
+])
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(BRENTQ_SHAPES)),
+    root=st.floats(-2.0, 2.0),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+    scale=st.sampled_from([1.0, -1.0, 1e-160, -1e-200, 1e150, 3e-310]),
+    maxiter=st.sampled_from([100, 100, 100, 5, 0]),
+)
+def test_owned_brentq_is_scipys(xtol, rtol, shape, root, a, b, scale, maxiter):
+    g = BRENTQ_SHAPES[shape](root)
+
+    def f(x):
+        return scale * g(x)
+
+    got = brentq_outcome(lambda: numeric._brentq(f, a, b, xtol, rtol, maxiter))
+    want = brentq_outcome(lambda: scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    assert got == want
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    pytest.param(lambda x: x + 1.0, {}, id="same-sign"),
+    pytest.param(lambda x: math.nan if x > 0.4 else x - 0.5, {}, id="nan-at-b"),
+    pytest.param(lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, {}, id="nan-inside"),
+    pytest.param(lambda x: x**3 - 0.3, {"maxiter": 2}, id="maxiter"),
+    pytest.param(lambda x: x - 0.5, {"maxiter": -1}, id="negative-maxiter"),
+    pytest.param(lambda x: x - 0.5, {"xtol": 0.0}, id="xtol"),
+    pytest.param(lambda x: x - 0.5, {"rtol": 1e-17}, id="rtol"),
+])
+def test_brentq_errors_are_scipys(f, kwargs):
+    want = brentq_outcome(lambda: scipy_brentq(f, 0, 1, **kwargs))
+    assert isinstance(want, tuple)
+    assert brentq_outcome(lambda: numeric.brentq(f, 0, 1, **kwargs)) == want
+
+
+def test_dense_solution_is_scipys(monkeypatch):
+    # the angle solution of a seeded cubic, looked up at every step time
+    # (where two steps meet), inside each step and beyond both ends
+    runs = recorded_solutions(monkeypatch)
+    return_map(seeded_focus_field("cubic", 1), 0.1)
+    sol = runs[0].sol
+    ts = sol.ts
+    want = OdeSolution(
+        ts, [lambda t, it=it: np.array(it.at(float(t))) for it in sol.interpolants]
+    )
+    inside = [a + (b - a) * w for a, b in zip(ts, ts[1:]) for w in (0.25, 0.5, 0.9)]
+    beyond = [ts[0] - 1.0, ts[0] - 1e-9, ts[-1] + 1e-9, ts[-1] + 1.0]
+    assert len(ts) > 10
+    for t in ts + inside + beyond:
+        assert same_array(sol(t), want(t)), t
+
+
+def test_dense_output_runs_forward_only():
+    with pytest.raises(ValueError, match="forward only"):
+        numeric.solve_ivp(lambda t, y: y, (1.0, 0.0), [1.0], dense_output=True)
 
 
 GRID_FIELDS = DIFFERENTIAL_FIELDS + [

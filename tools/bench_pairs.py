@@ -76,6 +76,8 @@ def library_versions() -> dict:
 
     The engine's printed floats are bit for bit SciPy's only for one BLAS
     build (its stage sums are BLAS dot products), so a measurement names it.
+    The engine no longer imports SciPy; its version is that of the oracle
+    the tests compare the engine's Runge-Kutta loop and brentq with.
     """
     import numpy as np
     import scipy
