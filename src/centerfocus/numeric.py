@@ -312,7 +312,6 @@ class _Interpolant:
         return [yo + h * v for yo, v in zip(self.y_old, qp)]
 
 
-
 class _DenseSolution:
     """``scipy.integrate.OdeSolution`` over forward steps: t picks the step
     whose span holds it, the earlier one at a step time, and before the

@@ -710,13 +710,10 @@ FLOAT_COMMANDS = {
 }
 
 
-def float_argv(name, tmp_path):
-    return FLOAT_COMMANDS[name] + ([str(tmp_path / "orbit.csv")] if name == "orbit" else [])
-
-
 @pytest.mark.parametrize("name", FLOAT_COMMANDS)
 def test_float_commands_never_load_scipy(name, tmp_path):
-    assert scipy_loaded_after(float_argv(name, tmp_path)) == (0, False)
+    argv = FLOAT_COMMANDS[name] + ([str(tmp_path / "orbit.csv")] if name == "orbit" else [])
+    assert scipy_loaded_after(argv) == (0, False)
 
 
 def test_scipy_probe_sees_an_import():

@@ -71,7 +71,7 @@ def harmonic():
     ],
 )
 def test_integrate_rejects_nonfinite_inputs(monkeypatch, x0, y0, t_end, message):
-    # checked before SciPy is reached: a NaN t_end never ends its step loop
+    # checked before the step loop is reached: a NaN t_end never ends it
     def unreachable(*args, **kwargs):
         raise AssertionError("integrate reached solve_ivp")
 
@@ -776,7 +776,7 @@ def test_tol_in_guard_band_uses_return_map(monkeypatch):
 
 # perfbench's tracer replaces numeric.solve_ivp and numeric.brentq with
 # setattr: its numeric.solve_ivp span and its rhs_evals/steps counters see
-# only the calls that look those names up on the module. Binding SciPy's
+# only the calls that look those names up on the module. Binding the
 # functions under another name would blind them with nothing else failing.
 
 
