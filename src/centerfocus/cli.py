@@ -591,7 +591,10 @@ def _cmd_orbit(args) -> int:
     digest, name, field = _load_system(args.input)
     # looked up on the module, where perfbench's tracer wraps it
     traj = numeric.integrate(field, args.x0, args.y0, args.t)
-    write_csv(traj, args.out)
+    try:
+        write_csv(traj, args.out)
+    except OSError as exc:
+        raise PreconditionFailed(f"cannot write {args.out}: {exc}") from None
     results = {
         "name": name,
         "out": args.out,

@@ -202,10 +202,15 @@ def compute_lyapunov(
     order+2 contributes its constant only. `gauges` optionally injects
     kernel coefficients for the even-degree solves (degree ->
     coefficient), default all zero. The field's slices X_k, Y_k are
-    converted to the dense format once, here, straight from p and q.
+    converted to the dense format once, here, straight from p and q,
+    for the degrees 2 <= k <= order+1 the recursion reads: slice n
+    <= order+2 pairs X_k with H_{n+1-k}, and H_j starts at j = 2.
     """
-    xs, ys = ({k: to_slice(f, k) for k in sorted({i + j for (i, j), _ in f.terms()}) if k >= 2}
-              for f in (field.p, field.q))
+    degrees = range(2, order + 2)
+    xs, ys = (
+        {k: to_slice(f, k) for k in sorted({i + j for (i, j), _ in f.terms()}) if k in degrees}
+        for f in (field.p, field.q)
+    )
     return _recursion(order, lambda n, hs, grads: _assemble_f(n, grads, xs, ys), gauges)
 
 

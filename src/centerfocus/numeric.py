@@ -48,14 +48,17 @@ the two tableaux are module constants with SciPy's exact floats, events
 are located by ``_brentq``, a port of SciPy's C brentq, and the dense
 solution is ``_DenseSolution``, SciPy's ``OdeSolution`` lookup over
 forward steps. The tests check each against the installed SciPy.
-``solve_ivp`` and ``brentq`` are module-level functions: ``solve_ivp``
-runs RK45 and DOP853 on the owned loop and refuses other methods, and
-``brentq`` is ``_brentq`` behind SciPy's signature, defaults and
-argument checks. The integrators here look them up as module globals at
-call time, so a wrapper set on this module (as perfbench's tracer does)
-sees every call; event location inside the loop calls ``_brentq``
-directly, as SciPy's own loop calls its brentq, so only the section
-fallback of ``_first_return`` goes through ``brentq``.
+The loop takes the engine's settings, not SciPy's options: every run
+is at ``REL_TOL`` and ``ABS_TOL``, and a run with events, the first
+return's, keeps its dense solution. ``solve_ivp`` and ``brentq`` are
+module-level functions: ``solve_ivp`` runs RK45 and DOP853 on the owned
+loop and refuses other methods, and ``brentq(f, a, b)`` is ``_brentq``
+at the section fallback's tolerances. The integrators here look them up
+as module globals at call time, so a wrapper set on this module (as
+perfbench's tracer does) sees every call; event location inside the
+loop calls ``_brentq`` directly, as SciPy's own loop calls its brentq,
+so only the section fallback of ``_first_return`` goes through
+``brentq``.
 """
 
 from __future__ import annotations
@@ -103,35 +106,34 @@ EVAL_BUDGET = 500_000
 @dataclass(frozen=True)
 class IvpResult:
     """The fields of a ``scipy.integrate.solve_ivp`` result that the
-    integrators here (and perfbench's tracer) read."""
+    integrators here (and perfbench's tracer) read. A run with events
+    has ``t_events`` and its dense solution ``sol``; one without has
+    None for both."""
 
     t: np.ndarray
     y: np.ndarray
-    sol: object  # a _DenseSolution, or None without dense output
+    sol: object  # a _DenseSolution with events, else None
     t_events: list | None
     nfev: int
     status: int
     message: str
 
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
 
+def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf):
+    """RK45 or DOP853 over ``t_span`` at the tolerances ``REL_TOL`` and
+    ``ABS_TOL``, on the step loop owned here (``_runge_kutta``).
 
-def solve_ivp(fun, t_span, y0, method="RK45", **options):
-    """``scipy.integrate.solve_ivp`` for RK45 and DOP853, on the step loop
-    owned here (``_runge_kutta``).
-
+    It takes the steps of ``scipy.integrate.solve_ivp`` called with those
+    tolerances, and with ``dense_output=True`` when there are events.
     ``fun`` and the events get the state as a list of Python floats and
-    the result is an ``IvpResult``. Any other method is a ValueError;
-    SciPy's own step loop is never called. One option is not SciPy's:
-    ``max_nfev`` ends the run with status -2 once an attempted step takes
-    ``nfev`` past it.
+    the result is an ``IvpResult``. Any other method is a ValueError.
+    ``max_nfev``, which SciPy does not have, ends the run with status -2
+    once an attempted step takes ``nfev`` past it.
     """
     if method not in ("RK45", "DOP853"):
         raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
     t0, t_bound = map(float, t_span)
-    return _runge_kutta(_TABLEAUX[method], fun, t0, t_bound, y0, **options)
+    return _runge_kutta(_TABLEAUX[method], fun, t0, t_bound, y0, events, max_nfev)
 
 
 # scipy.integrate's RungeKutta step-size control (scipy/integrate/_ivp/rk.py)
@@ -329,14 +331,12 @@ class _DenseSolution:
         return self.interpolants[min(max(bisect_left(self.ts, t) - 1, 0), last)].at(t)
 
 
-def _runge_kutta(
-    tab: _Tableau, fun, t0, t_bound, y0, dense_output=False, events=None, rtol=1e-3, atol=1e-6,
-    max_nfev=math.inf,
-) -> IvpResult:
+def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math.inf) -> IvpResult:
     """``solve_ivp`` with SciPy's RungeKutta step loop owned here.
 
     It takes the same steps to the same bits as SciPy's solver of the
-    tableau ``tab`` (RK45 or DOP853) driven by solve_ivp: the initial
+    tableau ``tab`` (RK45 or DOP853) driven by solve_ivp at rtol
+    ``REL_TOL`` and atol ``ABS_TOL``, read once per call: the initial
     step of ``select_initial_step``, the step control of
     ``RungeKutta._step_impl``, the stage, solution and error sums as
     ``ndarray.dot`` on one reused stage array K (the same BLAS calls as
@@ -350,19 +350,22 @@ def _runge_kutta(
     SciPy's does: 2 + one per stage for each attempted step; once an
     attempted step takes it past ``max_nfev`` the run stops there with
     status -2. Every event is taken as terminal and must have a nonzero
-    ``direction``, the only kind the callers pass; dense output and
-    events are RK45's only, the only method the callers ask them of, and
-    dense output runs forward only, the only way the callers ask it.
+    ``direction``, the only kind the callers pass. A run with events
+    keeps each step's interpolant and returns them as its dense
+    solution, as solve_ivp with ``dense_output=True`` does; events are
+    RK45's only, the only method the callers pass them to, and run
+    forward only, the only way the callers ask it.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
     the solver's constructor does, and the result is y0 at t0 and
-    t_bound (``nfev`` 1, no dense output and no event sought; no caller
-    asks for either over an empty span).
+    t_bound (``nfev`` 1, no dense solution and no event sought; no
+    caller passes events over an empty span).
     """
-    if (dense_output or events) and tab.P is None:
-        raise ValueError("dense output and events need the RK45 tableau")
-    if dense_output and t_bound < t0:
-        raise ValueError("dense output runs forward only")
+    if events and tab.P is None:
+        raise ValueError("events need the RK45 tableau")
+    if events and t_bound < t0:
+        raise ValueError("events run forward only")
+    rtol, atol = REL_TOL, ABS_TOL
     A, B, C, P = tab.A, tab.B, tab.C, tab.P
     error_norm, error_rows, error_exponent = tab.error_norm, tab.error_rows, tab.error_exponent
     events = () if events is None else tuple(events)
@@ -461,19 +464,15 @@ def _runge_kutta(
         if direction * (t - t_bound) >= 0:
             status = 0
 
-        interp = None
-        if dense_output:
+        if events:
             interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
             interpolants.append(interp)
-        if events:
             g_new = [ev(t, y) for ev in events]
             active = [
                 i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
                 if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)
             ]
             if active:
-                if interp is None:
-                    interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
                 roots = [
                     _brentq(
                         lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
@@ -488,7 +487,7 @@ def _runge_kutta(
                 t = roots[first]
                 y = interp.at(t)
             g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
+        if events and len(ts) > 1 and ts[-1] == t:
             interpolants.pop()
         else:
             ts.append(t)
@@ -498,7 +497,7 @@ def _runge_kutta(
     return IvpResult(
         t=t_arr,
         y=np.array(ys).T,
-        sol=_DenseSolution(ts, interpolants) if dense_output else None,
+        sol=_DenseSolution(ts, interpolants) if events else None,
         t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
         nfev=nfev,
         status=status,
@@ -574,22 +573,11 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-_BRENTQ_RTOL = 4 * sys.float_info.epsilon  # brentq's default and smallest rtol
-
-
-def brentq(
-    f, a: float, b: float, *, xtol: float = 2e-12, rtol: float = _BRENTQ_RTOL,
-    maxiter: int = BRENTQ_MAXITER,
-) -> float:
-    """``scipy.optimize.brentq`` with its defaults and argument checks, on
-    ``_brentq``: a root of f in the bracket [a, b], where f changes sign."""
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENTQ_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-    return _brentq(f, float(a), float(b), xtol, rtol, maxiter)
+def brentq(f, a: float, b: float) -> float:
+    """The section fallback's root of f in the bracket [a, b], where f
+    changes sign: ``_brentq`` to within 1e-15 + EVENT_TOL |x| in at most
+    BRENTQ_MAXITER iterations."""
+    return _brentq(f, float(a), float(b), 1e-15, EVENT_TOL, BRENTQ_MAXITER)
 
 
 @contextlib.contextmanager
@@ -638,15 +626,6 @@ class FocusLike:
     sign: int
 
 
-def _rhs(field: PlanarField):
-    pq = float_code((field.p, field.q))
-
-    def rhs(_t, s):
-        return pq(*s)
-
-    return rhs
-
-
 def integrate(field: PlanarField, x0: float, y0: float, t_end: float) -> Trajectory:
     """Integrate to t_end, one output row per accepted step, in at most
     EVAL_BUDGET field evaluations per 100 time units (at least EVAL_BUDGET)."""
@@ -659,22 +638,18 @@ def integrate(field: PlanarField, x0: float, y0: float, t_end: float) -> Traject
     if abs(t_end) > MAX_TIME:
         raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {MAX_TIME}")
     max_nfev = int(EVAL_BUDGET * max(1.0, abs(t_end) / 100))
+    pq = float_code((field.p, field.q))
+
+    def rhs(_t, s):
+        return pq(*s)
+
     with _float_range():
-        sol = solve_ivp(
-            _rhs(field),
-            (0.0, t_end),
-            (x0, y0),
-            method="RK45",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
-            dense_output=False,
-            max_nfev=max_nfev,
-        )
+        sol = solve_ivp(rhs, (0.0, t_end), (x0, y0), method="RK45", max_nfev=max_nfev)
     if sol.status == -2:
         raise TimeBudgetExceeded(
             f"t_end {t_end} not reached within {max_nfev} field evaluations"
         )
-    if not sol.success:
+    if sol.status == -1:
         raise StepFailure(sol.message)
     return Trajectory(t=sol.t, x=sol.y[0], y=sol.y[1])
 
@@ -722,9 +697,6 @@ def _first_return(field: PlanarField, c: float):
             (0.0, MAX_TIME),
             (c, 0.0, 0.0),
             method="RK45",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
-            dense_output=True,
             events=(turn_done, stalled),
             max_nfev=EVAL_BUDGET,
         )
@@ -756,7 +728,7 @@ def _first_return(field: PlanarField, c: float):
         for h in (0.01, 0.05, 0.2):
             lo, hi = t_star - h, t_star + h
             if sol.sol(lo)[1] < 0.0 < sol.sol(hi)[1]:
-                t_cur = brentq(lambda t: sol.sol(t)[1], lo, hi, xtol=1e-15)
+                t_cur = brentq(lambda t: sol.sol(t)[1], lo, hi)
                 xy = sol.sol(t_cur)
                 break
         else:
@@ -865,8 +837,6 @@ def _grid_deltas(field: PlanarField, c_grid: Sequence[float]) -> list[float] | N
             (0.0, TWO_PI),
             [float(c) for c in c_grid] + [0.0] * n,
             method="DOP853",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
             max_nfev=EVAL_BUDGET,
         )
     except (OverflowError, ZeroDivisionError):

@@ -1,13 +1,16 @@
 """The pure summary of tools/bench_pairs.py: wins, ties, medians, spreads."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
 
-from bench_pairs import library_versions, summarize  # noqa: E402
+from bench_pairs import blas_kernel, library_versions, summarize  # noqa: E402
 
 
 def test_lower_is_better_counts_wins_and_ties():
@@ -62,7 +65,39 @@ def test_library_versions_name_numpy_scipy_and_blas():
     import scipy
 
     out = library_versions()
-    assert set(out) == {"numpy", "scipy", "blas"}
+    assert set(out) == {"numpy", "scipy", "blas", "blas_kernel"}
     assert out["numpy"] == np.__version__ and out["scipy"] == scipy.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert out["blas"] == f"{blas['name']} {blas['version']}"
+    assert out["blas_kernel"] == blas_kernel()
+
+
+def bundled_openblas():
+    import numpy as np
+
+    return sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"))
+
+
+@pytest.mark.skipif(not bundled_openblas(), reason="NumPy bundles no OpenBLAS here")
+def test_blas_kernel_reads_the_runtime_choice():
+    # OPENBLAS_CORETYPE picks the kernel when the library loads, so the
+    # override must be set before NumPy is imported: in a fresh process.
+    # Haswell's kernel runs on any x86-64 CPU with AVX2.
+    script = "from bench_pairs import blas_kernel; print(blas_kernel())"
+    env = {**os.environ, "PYTHONPATH": str(TOOLS), "OPENBLAS_CORETYPE": "Haswell"}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout == "Haswell\n"
+    assert blas_kernel() not in ("unknown", "")
+
+
+def test_blas_kernel_is_unknown_without_the_library_or_symbol(tmp_path):
+    assert blas_kernel(tmp_path) == "unknown"
+    # a file that does not load, and a library without the symbol
+    (tmp_path / "libopenblas_broken.so").write_bytes(b"not a library")
+    import _ctypes
+
+    (tmp_path / "libopenblas_other.so").symlink_to(_ctypes.__file__)
+    assert blas_kernel(tmp_path) == "unknown"

@@ -449,6 +449,33 @@ class TestDarboux:
         assert main(["darboux", "--input", field_path, "--curve", curve_path]) == 0
         assert "not invariant" in capsys.readouterr().out
 
+    def test_lambda_one_takes_the_curve_as_g(self, tmp_path, capsys):
+        # schl1 at lam = 1, a = 1: x' = -y + x^2 + y^2, y' = x has the
+        # integral H_2 exp(-g) with g = 2y, which the curve file holds
+        field_path = write_system(
+            tmp_path, [{"i": 2, "j": 0, "c": 1}, {"i": 0, "j": 2, "c": 1}], []
+        )
+        curve_path = write_doc(tmp_path, "curve.json", [{"i": 0, "j": 1, "c": 2}])
+        assert main([
+            "darboux", "--input", field_path, "--curve", curve_path,
+            "--lambda", "1", "--json",
+        ]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert (res["invariant"], res["lambda"], res["darboux_verified"]) == (False, "1", True)
+
+    def test_multiplier_needs_constant_term_one(self, tmp_path, capsys):
+        field_path = radial_cubic_file(tmp_path)
+        curve_path = write_doc(
+            tmp_path, "curve.json", [{"i": 0, "j": 0, "c": 2}, {"i": 0, "j": 1, "c": 2}]
+        )
+        assert main([
+            "darboux", "--input", field_path, "--curve", curve_path, "--lambda", "1/2",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "centerfocus: PreconditionFailed: "
+            "curve must have constant term 1 to recover the multiplier\n"
+        )
+
     def test_lambda_zero_exits_2(self, tmp_path, capsys):
         field_path = radial_cubic_file(tmp_path)
         curve_path = write_doc(tmp_path, "curve.json", [{"i": 0, "j": 0, "c": 1}])
@@ -507,6 +534,18 @@ class TestNumericCommands:
         assert err.startswith("centerfocus: StepFailure: ")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("target", ["missing/orbit.csv", "."])
+    def test_unwritable_orbit_out_exits_2(self, tmp_path, capsys, monkeypatch, target):
+        # a missing directory or a directory as the file: no traceback
+        path = write_system(tmp_path, [], [])
+        monkeypatch.chdir(tmp_path)
+        argv = ["orbit", "--input", path, "--x0", "0.1", "--y0", "0", "--t", "1"]
+        assert main(argv + ["--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"centerfocus: PreconditionFailed: cannot write {target}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_nonfinite_orbit_inputs(self, tmp_path, capsys, monkeypatch):
         path = write_system(tmp_path, [], [])

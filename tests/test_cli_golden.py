@@ -27,6 +27,14 @@ from centerfocus.cli import main
 
 DATA = Path(__file__).parent / "data"
 TWO_PI = "6.283185307179586"
+# the step loop's sums are BLAS dot products, whose last bits depend on
+# the kernel OpenBLAS picks for the CPU
+KERNEL_NOTE = (
+    "the numeric goldens were recorded on OpenBLAS's SkylakeX kernel; on another "
+    "kernel (Haswell, which AMD Zen CPUs load too) the last digits of returnmap, "
+    "period, orbit and classify move (see the BLAS note in README.md; "
+    "tools/bench_pairs.py's blas_kernel() names the kernel loaded here)"
+)
 
 CASES = {
     "analyze-one": ["analyze", "--input", "radial.json", "--order", "6"],
@@ -111,9 +119,9 @@ def test_cli_bytes_match_golden(name, golden, tmp_path, monkeypatch, capsys):
     enter_replay_dir(tmp_path, monkeypatch)
     got = run_case(ALL_CASES[name], capsys)
     want = golden[name]
-    assert got["exit"] == want["exit"]
-    assert got["stdout"] == want["stdout"]
-    assert got["stderr"] == want["stderr"]
+    assert got["exit"] == want["exit"], KERNEL_NOTE
+    assert got["stdout"] == want["stdout"], KERNEL_NOTE
+    assert got["stderr"] == want["stderr"], KERNEL_NOTE
 
 
 def test_numeric_cases_replay_without_scipy_step_loops(golden, tmp_path, monkeypatch, capsys):

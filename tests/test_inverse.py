@@ -69,6 +69,22 @@ class TestInverseSpecValidation:
                 g_list=(BiPoly.constant(2), BiPoly()),
             )
 
+    def test_target_degree_below_two(self):
+        with pytest.raises(DegreeMismatch, match="target degree 1 < 2"):
+            InverseSpec(m=1, h_list=(H2,), g_list=(BiPoly.constant(1),))
+
+    def test_wrong_g_count(self):
+        with pytest.raises(DegreeMismatch, match="expected 3 multipliers"):
+            InverseSpec(m=3, h_list=(H2, BiPoly(), BiPoly()), g_list=(BiPoly.constant(1),))
+
+    def test_inhomogeneous_multiplier(self):
+        with pytest.raises(DegreeMismatch, match="g_1 is not homogeneous of degree 1"):
+            InverseSpec(
+                m=2,
+                h_list=(H2, BiPoly()),
+                g_list=(BiPoly.constant(1), X + X**2),
+            )
+
 
 def test_build_field_pure_hamiltonian():
     rng = random.Random(31)

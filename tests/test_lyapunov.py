@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,32 @@ class TestPlanarFieldValidation:
 def test_order_too_small():
     with pytest.raises(OrderTooSmall):
         compute_lyapunov(radial_cubic(), 1)
+
+
+def test_chain_recursion_reports_order_before_field_shape():
+    # the mixed degrees 2 and 3 are not quasi-homogeneous either
+    with pytest.raises(OrderTooSmall):
+        constants_quasihomogeneous(nl_field({(2, 0): 1, (3, 0): 1}), 1)
+
+
+def test_degrees_beyond_the_order_are_never_converted():
+    # the recursion to order 4 reads X_k, Y_k for k <= 5 only: a term of
+    # degree 10^6 leaves every H_n and V_k alone and is not converted to
+    # a dense slice of 10^6 + 1 integers (about 40 MB)
+    base = bautin_field(1, 2, -1, Fraction(1, 3), 5)
+    huge = PlanarField(p=base.p + X ** 1_000_000, q=base.q)
+    want = compute_lyapunov(base, 4)
+    tracemalloc.start()
+    try:
+        got = compute_lyapunov(huge, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2_000_000
+    # degree order + 1 = 5 is read: it moves V_2
+    quintic = PlanarField(p=base.p + X**5, q=base.q)
+    assert compute_lyapunov(quintic, 4).v_list[1] != want.v_list[1]
 
 
 def test_linear_system_is_center_candidate():

@@ -364,6 +364,16 @@ def test_kernel_overflow_is_a_step_failure(call):
         call(nl_field({(2000, 0): 1}, {}))
 
 
+def test_grid_batch_declines_on_a_kernel_overflow(monkeypatch):
+    # the batch declines, and the per-sample route reports the overflow at 1.5
+    field = nl_field({(2000, 0): 1}, {})
+    assert _grid_deltas(field, (0.1, 1.5)) is None
+    calls = count_return_maps(monkeypatch)
+    with pytest.raises(StepFailure, match="OverflowError"):
+        numeric_classify(field, (0.1, 1.5))
+    assert calls == [0.1, 1.5]
+
+
 @pytest.mark.parametrize("t_end", [-1e6, -math.inf, 1e6, math.inf])
 def test_time_budget_bounds_either_direction(monkeypatch, t_end):
     def unreachable(*args, **kwargs):
@@ -380,12 +390,12 @@ def test_other_methods_are_refused(method):
         numeric.solve_ivp(lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method=method)
 
 
-@pytest.mark.parametrize("option", [{"dense_output": True}, {"events": [lambda t, s: s[1]]}])
-def test_dop853_has_no_dense_output_or_events(option):
-    # no caller asks for them; SciPy's DOP853 interpolant needs three more stages
-    with pytest.raises(ValueError, match="need the RK45 tableau"):
+def test_dop853_has_no_dense_output_or_events():
+    # no caller passes events to it; SciPy's DOP853 interpolant needs three more stages
+    with pytest.raises(ValueError, match="events need the RK45 tableau"):
         numeric.solve_ivp(
-            lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method="DOP853", **option
+            lambda t, s: (-s[1], s[0]), (0.0, 1.0), (1.0, 0.0), method="DOP853",
+            events=[lambda t, s: s[1]],
         )
 
 
@@ -521,7 +531,7 @@ def test_owned_dop853_zero_error_denominator_is_nan_as_in_scipy(monkeypatch):
     # and err3 / scale = 9.5e-162, which squares to 9e-323; 0.01 times that
     # underflows to 0, so the norm is 0 / 0. NumPy makes that nan, which
     # rejects every step until the step size fails.
-    v = 5e-161 * (1e-6 + 1e-3)  # the error scale at y = 1 under the defaults
+    v = 5e-161 * (numeric.ABS_TOL + numeric.REL_TOL)  # the error scale at y = 1
 
     def fun(t, y):
         return [v if t == 0.0 else 0.0]
@@ -534,7 +544,9 @@ def test_owned_dop853_zero_error_denominator_is_nan_as_in_scipy(monkeypatch):
         return norms[-1]
 
     monkeypatch.setattr(DOP853, "_estimate_error_norm", spy)
-    want = scipy_solve_ivp(fun, (0.0, 1.0), [1.0], method="DOP853")
+    want = scipy_solve_ivp(
+        fun, (0.0, 1.0), [1.0], method="DOP853", rtol=numeric.REL_TOL, atol=numeric.ABS_TOL
+    )
     assert norms and all(math.isnan(e) for e in norms)
     assert want.status == -1 and list(want.t) == [0.0]
     same_run(numeric.solve_ivp(fun, (0.0, 1.0), [1.0], method="DOP853"), want)
@@ -608,19 +620,22 @@ def test_owned_brentq_is_scipys(xtol, rtol, shape, root, a, b, scale, maxiter):
     assert got == want
 
 
-@pytest.mark.parametrize("f, kwargs", [
-    pytest.param(lambda x: x + 1.0, {}, id="same-sign"),
-    pytest.param(lambda x: math.nan if x > 0.4 else x - 0.5, {}, id="nan-at-b"),
-    pytest.param(lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, {}, id="nan-inside"),
-    pytest.param(lambda x: x**3 - 0.3, {"maxiter": 2}, id="maxiter"),
-    pytest.param(lambda x: x - 0.5, {"maxiter": -1}, id="negative-maxiter"),
-    pytest.param(lambda x: x - 0.5, {"xtol": 0.0}, id="xtol"),
-    pytest.param(lambda x: x - 0.5, {"rtol": 1e-17}, id="rtol"),
+@pytest.mark.parametrize("f, maxiter", [
+    pytest.param(lambda x: x + 1.0, numeric.BRENTQ_MAXITER, id="same-sign"),
+    pytest.param(lambda x: math.nan if x > 0.4 else x - 0.5, numeric.BRENTQ_MAXITER, id="nan-at-b"),
+    pytest.param(
+        lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, numeric.BRENTQ_MAXITER, id="nan-inside"
+    ),
+    pytest.param(lambda x: x**3 - 0.3, 2, id="maxiter"),
 ])
-def test_brentq_errors_are_scipys(f, kwargs):
-    want = brentq_outcome(lambda: scipy_brentq(f, 0, 1, **kwargs))
+def test_brentq_errors_are_scipys(f, maxiter):
+    # at the section fallback's tolerances, numeric.brentq's
+    want = brentq_outcome(lambda: scipy_brentq(f, 0, 1, xtol=1e-15, maxiter=maxiter))
     assert isinstance(want, tuple)
-    assert brentq_outcome(lambda: numeric.brentq(f, 0, 1, **kwargs)) == want
+    got = brentq_outcome(
+        lambda: numeric._brentq(f, 0.0, 1.0, 1e-15, numeric.EVENT_TOL, maxiter)
+    )
+    assert got == want
 
 
 def test_dense_solution_is_scipys(monkeypatch):
@@ -641,8 +656,9 @@ def test_dense_solution_is_scipys(monkeypatch):
 
 
 def test_dense_output_runs_forward_only():
-    with pytest.raises(ValueError, match="forward only"):
-        numeric.solve_ivp(lambda t, y: y, (1.0, 0.0), [1.0], dense_output=True)
+    # events keep the dense solution, and both run forward only
+    with pytest.raises(ValueError, match="events run forward only"):
+        numeric.solve_ivp(lambda t, y: y, (1.0, 0.0), [1.0], events=[lambda t, y: y[0]])
 
 
 GRID_FIELDS = DIFFERENTIAL_FIELDS + [

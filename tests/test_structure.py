@@ -95,6 +95,12 @@ def test_weak_center_none_for_generic_quadratic():
     assert weak_center_check(bautin_field(1, 2, 3, 4, 5)) is None
 
 
+def test_weak_center_none_when_only_x_X_plus_y_Y_vanishes():
+    # x' = -y - xy, y' = x + x^2: x X + y Y = -x^2 y + y x^2 = 0, but the
+    # divergence is -y, so no mu makes (x^2+y^2) div = mu (x X + y Y)
+    assert weak_center_check(nl_field({(1, 1): -1}, {(2, 0): 1})) is None
+
+
 def test_weak_center_mu_zero_branches():
     # Hamiltonian cubic: divergence vanishes but x X + y Y does not
     ham = nl_field({(0, 2): -3}, {})

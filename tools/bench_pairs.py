@@ -26,6 +26,7 @@ every pair, so a stopped run keeps what it measured.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import statistics
 import subprocess
@@ -71,13 +72,39 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     return out
 
 
+def blas_kernel(lib_dir: Path | None = None) -> str:
+    """The kernel OpenBLAS chose for this CPU when it loaded (``SkylakeX``,
+    ``Haswell``, ...), or an ``OPENBLAS_CORETYPE`` override.
+
+    It is read from ``scipy_openblas_get_corename64_`` in the OpenBLAS
+    library of ``lib_dir``, by default the ``numpy.libs`` bundled with
+    NumPy, after NumPy has loaded it. ``"unknown"`` when no library there
+    loads and has that symbol.
+    """
+    import numpy as np
+
+    if lib_dir is None:
+        lib_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(lib_dir.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def library_versions() -> dict:
-    """NumPy's and SciPy's versions and the BLAS NumPy was built against.
+    """NumPy's and SciPy's versions, the BLAS NumPy was built against and
+    the kernel that BLAS runs.
 
     The engine's printed floats are bit for bit SciPy's only for one BLAS
-    build (its stage sums are BLAS dot products), so a measurement names it.
-    The engine no longer imports SciPy; its version is that of the oracle
-    the tests compare the engine's Runge-Kutta loop and brentq with.
+    build (its stage sums are BLAS dot products), and its golden digits
+    replay only on the kernel they were recorded on, so a measurement
+    names both. The engine no longer imports SciPy; its version is that
+    of the oracle the tests compare the engine's Runge-Kutta loop and
+    brentq with.
     """
     import numpy as np
     import scipy
@@ -87,6 +114,7 @@ def library_versions() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_kernel": blas_kernel(),
     }
 
 
