@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import sys
 from bisect import bisect_left
@@ -150,53 +151,64 @@ _MESSAGES = {
 }
 
 
-def _rms(v: list[float]) -> float:
-    """SciPy's RMS norm, on an ndarray so that the dot product is BLAS's."""
-    a = np.array(v)
-    return math.sqrt(a.dot(a)) / len(v) ** 0.5
+def _rms(a: np.ndarray) -> float:
+    """SciPy's RMS norm of a float64 vector, its dot product BLAS's."""
+    return math.sqrt(a.dot(a)) / len(a) ** 0.5
 
 
-def _squared_norm(v: list[float]) -> float:
-    """``np.linalg.norm(v) ** 2`` as DOP853 takes it: the root of a BLAS
+def _squared_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a) ** 2`` as DOP853 takes it: the root of a BLAS
     dot, raised to the power 2 by libm's pow, which rounds differently
     from r * r in about one case in a thousand. The root of a finite dot
     is at most sqrt(DBL_MAX), whose square is finite, so the power never
     raises OverflowError where NumPy's would give inf."""
-    a = np.array(v)
     return math.sqrt(a.dot(a)) ** 2
 
 
-def _rk45_error_norm(k_all, rows, h, scale) -> float:
-    """RungeKutta._estimate_error_norm: the RMS of h K^T E / scale."""
-    (e,) = rows
-    return _rms([v * h / s for v, s in zip(k_all.dot(e).tolist(), scale)])
+def _rk45_error_norm(n: int) -> list[str]:
+    """RungeKutta._estimate_error_norm as step-loop source: the RMS of
+    h K^T E / scale."""
+    return [
+        "err_dot(E0, buf)",
+        f"{_names('d', n)} = bd",
+        *(f"nbd[{i}] = d{i} * h / s{i}" for i in range(n)),
+        "err = _rms(nb)",
+    ]
 
 
-def _dop853_error_norm(k_all, rows, h, scale) -> float:
-    """DOP853._estimate_error_norm: the fifth-order estimate E5, damped by
-    the third-order one E3 (Hairer, Norsett & Wanner's DOP853)."""
-    e5, e3 = rows
-    err5 = _squared_norm([v / s for v, s in zip(k_all.dot(e5).tolist(), scale)])
-    err3 = _squared_norm([v / s for v, s in zip(k_all.dot(e3).tolist(), scale)])
-    if err5 == 0 and err3 == 0:
-        return 0.0
-    denom = err5 + 0.01 * err3
-    # denom is 0 only when err5 is and 0.01 * err3 underflows: NumPy's
-    # 0 / 0 is then nan, which rejects the step
-    if not denom:
-        return math.nan
-    return abs(h) * err5 / math.sqrt(denom * len(scale))
+def _dop853_error_norm(n: int) -> list[str]:
+    """DOP853._estimate_error_norm as step-loop source: the fifth-order
+    estimate E5, damped by the third-order one E3 (Hairer, Norsett &
+    Wanner's DOP853)."""
+    lines = []
+    for k, name in enumerate(("err5", "err3")):
+        lines += [
+            f"err_dot(E{k}, buf)",
+            f"{_names('d', n)} = bd",
+            *(f"nbd[{i}] = d{i} / s{i}" for i in range(n)),
+            f"{name} = _squared_norm(nb)",
+        ]
+    return lines + [
+        "if err5 == 0 and err3 == 0:",
+        "    err = 0.0",
+        "else:",
+        "    denom = err5 + 0.01 * err3",
+        "    # denom is 0 only when err5 is and 0.01 * err3 underflows:",
+        "    # NumPy's 0 / 0 is then nan, which rejects the step",
+        f"    err = abs(h) * err5 / math.sqrt(denom * {n}) if denom else math.nan",
+    ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Tableau:
-    """An explicit Runge-Kutta pair as SciPy's class defines it."""
+    """An explicit Runge-Kutta pair as SciPy's class defines it; it hashes
+    by identity, as a key of the step-loop cache."""
 
     A: np.ndarray
     B: np.ndarray
     C: list[float]
     error_rows: tuple  # (E,) for RK45, (E5, E3) for DOP853
-    error_norm: object  # (K^T, error_rows, h, scale) -> float
+    error_norm: object  # n -> step-loop source lines that set err
     error_exponent: float  # -1 / (error estimator order + 1)
     P: np.ndarray | None  # the dense-output matrix; RK45's only
 
@@ -337,12 +349,13 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
     It takes the same steps to the same bits as SciPy's solver of the
     tableau ``tab`` (RK45 or DOP853) driven by solve_ivp at rtol
     ``REL_TOL`` and atol ``ABS_TOL``, read once per call: the initial
-    step of ``select_initial_step``, the step control of
-    ``RungeKutta._step_impl``, the stage, solution and error sums as
-    ``ndarray.dot`` on one reused stage array K (the same BLAS calls as
-    SciPy's ``np.dot``, so the same fused or unfused rounding), the
-    tableau's error norm with each vector norm taken on an ndarray, and
-    each terminal event located by ``_brentq`` on the step's interpolant
+    step of ``select_initial_step``, here, then the step control of
+    ``RungeKutta._step_impl`` in the loop ``_step_loop`` generates for
+    ``tab`` and the state size. Its stage, solution and error sums are
+    ``ndarray.dot`` on one stage array K (the same BLAS calls as SciPy's
+    ``np.dot``, so the same fused or unfused rounding), the tableau's
+    error norm takes each vector norm as a BLAS dot too, and each
+    terminal event is located by ``_brentq`` on the step's interpolant
     with solve_ivp's tolerances.
     Every elementwise operation is done on Python floats, which round as
     NumPy's unfused elementwise loops do; where NumPy gives inf or nan
@@ -366,8 +379,6 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
     if events and t_bound < t0:
         raise ValueError("events run forward only")
     rtol, atol = REL_TOL, ABS_TOL
-    A, B, C, P = tab.A, tab.B, tab.C, tab.P
-    error_norm, error_rows, error_exponent = tab.error_norm, tab.error_rows, tab.error_exponent
     events = () if events is None else tuple(events)
     y = [float(v) for v in y0]
     if t0 == t_bound:
@@ -381,121 +392,32 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
             status=0,
             message=_MESSAGES[0],
         )
-    n = len(y)
-    n_stages = len(C)
     direction = 1.0 if t_bound > t0 else -1.0
-    K = np.empty((n_stages + 1, n))
-    stages = [(s, K[:s].T.dot, A[s, :s], C[s]) for s in range(1, n_stages)]
-    k_sol, k_all = K[:-1].T, K.T
 
     # select_initial_step
     f = [float(v) for v in fun(t0, y)]
     interval = abs(t_bound - t0)
     scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
+    d0 = _rms(np.array([v / s for v, s in zip(y, scale)]))
+    d1 = _rms(np.array([v / s for v, s in zip(f, scale)]))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     hd = h0 * direction
     f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
     # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
     # inf or nan, not an exception, and h1 below is 0 either way
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0 if h0 else math.inf
+    d2 = _rms(np.array([(a - b) / s for a, b, s in zip(f1, f, scale)])) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -error_exponent
+        h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
     h_abs = min(100 * h0, h1, interval)
-    nfev = 2
 
-    t = t0
-    ts, ys = [t], [y]
-    interpolants = []
-    t_events = [[] for _ in events]
-    ev_dir = [ev.direction for ev in events]
-    g = [ev(t, y) for ev in events]
-    K[-1] = f
-    status = None
-    while status is None:
-        K[0] = K[-1]
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                status = -1
-                break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            for s, k_dot, a_s, c_s in stages:
-                dy = k_dot(a_s).tolist()
-                K[s] = fun(t + c_s * h, [v + d * h for v, d in zip(y, dy)])
-            y_new = [v + h * d for v, d in zip(y, k_sol.dot(B).tolist())]
-            K[-1] = fun(t + h, y_new)
-            nfev += n_stages
-            if nfev > max_nfev:
-                status = -2
-                break
-            # the error scale atol + max(|y|, |y_new|) rtol: y is finite
-            # and a NaN in y_new wins, as in np.maximum
-            scale = [
-                atol + (a if a >= b else b) * rtol
-                for a, b in zip(map(abs, y), map(abs, y_new))
-            ]
-            err = error_norm(k_all, error_rows, h, scale)
-            if err < 1:
-                if err == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * err**error_exponent)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * err**error_exponent)
-            rejected = True
-        if status is not None:
-            break
-        t_old, y_old, t, y = t, y, t_new, y_new
-        if direction * (t - t_bound) >= 0:
-            status = 0
-
-        if events:
-            interp = _Interpolant(t_old, t, y_old, K.T.dot(P))
-            interpolants.append(interp)
-            g_new = [ev(t, y) for ev in events]
-            active = [
-                i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
-                if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)
-            ]
-            if active:
-                roots = [
-                    _brentq(
-                        lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
-                        t_old, t, EVENT_TOL, EVENT_TOL, BRENTQ_MAXITER,
-                    )
-                    for i in active
-                ]
-                # every event is terminal: the first root in time ends the run
-                first = min(range(len(roots)), key=lambda k: direction * roots[k])
-                t_events[active[first]].append(roots[first])
-                status = 1
-                t = roots[first]
-                y = interp.at(t)
-            g = g_new
-        if events and len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
-            ts.append(t)
-            ys.append(y)
-
-    t_arr = np.array(ts)
+    status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
+        fun, t0, y, f, h_abs, t_bound, direction, rtol, atol, max_nfev, events
+    )
     return IvpResult(
-        t=t_arr,
+        t=np.array(ts),
         y=np.array(ys).T,
         sol=_DenseSolution(ts, interpolants) if events else None,
         t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
@@ -503,6 +425,183 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
         status=status,
         message=_MESSAGES[status],
     )
+
+
+def _names(prefix: str, n: int) -> str:
+    """``p0, p1, ..., p{n-1},``: a target list of n names."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
+
+
+def _row(s: int, n: int) -> str:
+    """The n items of stage row s of K, as targets on the flat view Kd."""
+    return ", ".join(f"Kd[{s * n + i}]" for i in range(n)) + ","
+
+
+# The step loop of RungeKutta._step_impl, for one tableau and state size;
+# _step_loop fills in the fields. K has a row per stage and a last row,
+# f at the step's end, which the next step takes as its row 0 (SciPy's
+# self.f).
+_STEP_LOOP = """\
+def make(tab):
+    A, C, P = tab.A, tab.C, tab.P
+    B, error_exponent = tab.B, tab.error_exponent
+    {error_rows} = tab.error_rows
+{stage_constants}
+    def loop(fun, t, y, f, h_abs, t_bound, direction, rtol, atol, max_nfev, events):
+        K = np.empty(({n_stages} + 1, {n}))
+        Kd = memoryview(K).cast("B").cast("d")
+        buf = np.empty({n})
+        bd = memoryview(buf).cast("B").cast("d")
+        nb = np.empty({n})
+        nbd = memoryview(nb).cast("B").cast("d")
+{stage_dots}
+        sol_dot = K[:-1].T.dot
+        err_dot = K.T.dot
+        {y_names} = y
+        {last_row} = f
+        nfev = 2
+        ts, ys = [t], [y]
+        interpolants = []
+        t_events = [[] for _ in events]
+        ev_dir = [ev.direction for ev in events]
+        g = [ev(t, y) for ev in events]
+        status = None
+        while status is None:
+            Kd[:{n}] = Kd[{last_start}:]
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    status = -1
+                    break
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
+{stage_sums}
+                sol_dot(B, buf)
+                {d_names} = bd
+{y_new}
+                y_new = [{z_names}]
+                {last_row} = fun(t + h, y_new)
+                nfev += {n_stages}
+                if nfev > max_nfev:
+                    status = -2
+                    break
+                # the error scale atol + max(|y|, |y_new|) rtol: y is
+                # finite and a NaN in y_new wins, as in np.maximum
+{scale}
+{error_norm}
+                if err < 1:
+                    if err == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR, SAFETY * err**error_exponent)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * err**error_exponent)
+                rejected = True
+            if status is not None:
+                break
+            t_old, y_old, t, y = t, y, t_new, y_new
+            {y_names} = y
+            if direction * (t - t_bound) >= 0:
+                status = 0
+{events}
+        return status, nfev, ts, ys, interpolants, t_events
+    return loop
+"""
+
+# The event search after an accepted step; RK45 only (it needs P).
+_EVENTS = """\
+            if events:
+                interp = _Interpolant(t_old, t, y_old, err_dot(P))
+                interpolants.append(interp)
+                g_new = [ev(t, y) for ev in events]
+                active = [
+                    i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
+                    if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)
+                ]
+                if active:
+                    roots = [
+                        _brentq(
+                            lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
+                            t_old, t, EVENT_TOL, EVENT_TOL, BRENTQ_MAXITER,
+                        )
+                        for i in active
+                    ]
+                    # every event is terminal: the first root in time ends the run
+                    first = min(range(len(roots)), key=lambda k: direction * roots[k])
+                    t_events[active[first]].append(roots[first])
+                    status = 1
+                    t = roots[first]
+                    y = interp.at(t)
+                g = g_new
+            if events and len(ts) > 1 and ts[-1] == t:
+                interpolants.pop()
+            else:
+                ts.append(t)
+                ys.append(y)"""
+
+
+@functools.lru_cache(maxsize=32)
+def _step_loop(tab: _Tableau, n: int):
+    """The step loop of ``_runge_kutta`` for tableau ``tab`` and states of
+    n floats, compiled on first use and cached.
+
+    The state is unpacked into the locals y0..y{n-1}. Each stage sum is
+    ``K[:s].T.dot(a_s, buf)`` into one reused buffer, read back as the
+    locals d0..d{n-1}; the solution sum ``K[:-1].T.dot(B, buf)`` and the
+    error sums ``K.T.dot(e, buf)`` likewise. The stage inputs, y_new and
+    the error scale are unrolled float expressions, each stage's f is
+    written into its row of K through a flat ``memoryview`` of it, and
+    each norm's operand is written into one preallocated vector before
+    its dot. The BLAS calls are SciPy's, on the same K layout, so the
+    floats are those of its loop on any BLAS.
+    """
+    n_stages = len(tab.C)
+    stage_sums = []
+    for s in range(1, n_stages):
+        stage_sums += [
+            f"dot{s}(a{s}, buf)",
+            f"{_names('d', n)} = bd",
+            f"{_row(s, n)} = fun(t + c{s} * h, ["
+            + ", ".join(f"y{i} + d{i} * h" for i in range(n)) + "])",
+        ]
+    scale = []
+    for i in range(n):
+        scale += [f"a = abs(y{i})", f"b = abs(z{i})", f"s{i} = atol + (a if a >= b else b) * rtol"]
+
+    def block(lines, indent):
+        return "\n".join(" " * indent + line for line in lines)
+
+    source = _STEP_LOOP.format(
+        n=n,
+        n_stages=n_stages,
+        last_start=n_stages * n,
+        error_rows=_names("E", len(tab.error_rows)),
+        stage_constants=block(
+            [f"a{s}, c{s} = A[{s}, :{s}], C[{s}]" for s in range(1, n_stages)], 4
+        ),
+        stage_dots=block([f"dot{s} = K[:{s}].T.dot" for s in range(1, n_stages)], 8),
+        y_names=_names("y", n),
+        d_names=_names("d", n),
+        z_names=", ".join(f"z{i}" for i in range(n)),
+        last_row=_row(n_stages, n),
+        stage_sums=block(stage_sums, 16),
+        y_new=block([f"z{i} = y{i} + h * d{i}" for i in range(n)], 16),
+        scale=block(scale, 16),
+        error_norm=block(tab.error_norm(n), 16),
+        events=_EVENTS if tab.P is not None else block(["ts.append(t)", "ys.append(y)"], 12),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<step loop n={n}>", "exec"), globals(), namespace)
+    return namespace["make"](tab)
 
 
 def _signbit(x: float) -> bool:

@@ -1,5 +1,6 @@
 """The pure summary of tools/bench_pairs.py: wins, ties, medians, spreads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
 
-from bench_pairs import blas_kernel, library_versions, summarize  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    TRACED,
+    blas_kernel,
+    library_versions,
+    summarize,
+    traced_summary,
+)
 
 
 def test_lower_is_better_counts_wins_and_ties():
@@ -101,3 +108,37 @@ def test_blas_kernel_is_unknown_without_the_library_or_symbol(tmp_path):
 
     (tmp_path / "libopenblas_other.so").symlink_to(_ctypes.__file__)
     assert blas_kernel(tmp_path) == "unknown"
+
+
+# the last line of two `perfbench/run.py --trace 1` runs, cut to a few metrics
+TRACED_LINES = (
+    '{"correct": true, "attempted": 96, "failed": 0, "metrics": {'
+    '"numeric.rhs_evals": {"value": 46378.0, "unit": "count/op"}, '
+    '"numeric.steps": {"value": 7729.333333333333, "unit": "count/op"}, '
+    '"numeric.root_fallbacks": {"value": 0.0, "unit": "count/op"}, '
+    '"numeric.return_map_calls": {"value": 0.0, "unit": "count/op"}, '
+    '"homological.solve_calls": {"value": 58.5, "unit": "count/op"}, '
+    '"numeric.integrate_s": {"value": 0.21, "unit": "s/op"}}}',
+    '{"correct": true, "attempted": 144, "failed": 0, "metrics": {'
+    '"numeric.rhs_evals": {"value": 46378.0, "unit": "count/op"}, '
+    '"numeric.steps": {"value": 7729.333333333333, "unit": "count/op"}, '
+    '"numeric.root_fallbacks": {"value": 0.0, "unit": "count/op"}, '
+    '"numeric.return_map_calls": {"value": 0.0, "unit": "count/op"}, '
+    '"homological.solve_calls": {"value": 58.0, "unit": "count/op"}, '
+    '"numeric.integrate_s": {"value": 0.12, "unit": "s/op"}}}',
+)
+
+
+def test_traced_summary_keeps_counts_and_compares_them():
+    out = traced_summary(*map(json.loads, TRACED_LINES))
+    assert set(out) == {"parent", "change", "equal"}
+    assert out["parent"] == {
+        "attempted": 96, "failed": 0, "correct": True,
+        "numeric.rhs_evals": 46378.0, "numeric.steps": 7729.333333333333,
+        "numeric.root_fallbacks": 0.0, "numeric.return_map_calls": 0.0,
+        "homological.solve_calls": 58.5,
+    }
+    assert out["change"]["attempted"] == 144
+    # per-layer seconds are not kept
+    assert not any(k.endswith("_s") for s in ("parent", "change") for k in out[s])
+    assert out["equal"] == {name: name != "homological.solve_calls" for name in TRACED}

@@ -516,12 +516,12 @@ def test_squared_norm_is_numpys():
     # differently from r * r in about one case in a thousand
     rng = np.random.default_rng(5)
     vs = rng.standard_normal((20000, 6)) * 10.0 ** rng.integers(-150, 150, (20000, 1))
-    assert all(numeric._squared_norm(v.tolist()) == np.linalg.norm(v) ** 2 for v in vs)
+    assert all(numeric._squared_norm(v) == np.linalg.norm(v) ** 2 for v in vs)
     # the largest root of a finite dot squares to a finite float, and a dot
     # that overflows gives inf on both sides
-    top = [math.sqrt(sys.float_info.max)]
+    top = np.array([math.sqrt(sys.float_info.max)])
     assert numeric._squared_norm(top) == np.linalg.norm(top) ** 2 < math.inf
-    assert numeric._squared_norm([1e200]) == np.linalg.norm([1e200]) ** 2 == math.inf
+    assert numeric._squared_norm(np.array([1e200])) == np.linalg.norm([1e200]) ** 2 == math.inf
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

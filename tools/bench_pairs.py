@@ -21,6 +21,13 @@ run, and per metric each side's runs by pair, median and quartiles
 relative change of the medians, the parent's quartile spread and
 whether the change stays within the bound. The file is rewritten after
 every pair, so a stopped run keeps what it measured.
+
+After the pairs, each side runs every workload once more with
+``--trace 1`` on the workload's first seed. The per-op counts of those
+runs (``TRACED``) go under ``traced``, with whether the two sides agree
+on each: equal counts mean the same steps, evaluations, section
+fallbacks and solves. Their per-layer seconds are left out, since one
+traced run cannot resolve them to better than about 15 %.
 """
 
 from __future__ import annotations
@@ -36,6 +43,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the per-op counts a traced run reports, kept in the output's "traced"
+TRACED = (
+    "numeric.rhs_evals",
+    "numeric.steps",
+    "numeric.root_fallbacks",
+    "numeric.return_map_calls",
+    "homological.solve_calls",
+)
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -132,10 +147,10 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds)],
+         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -166,6 +181,20 @@ def workload_summary(seeds, first, raw, metrics) -> dict:
             out["metrics"][m["name"]] = summarize(
                 runs["parent"], runs["change"], m["better"], m["bound"]
             )
+    return out
+
+
+def traced_summary(parent: dict, change: dict) -> dict:
+    """Each side's ``TRACED`` counts from its ``--trace 1`` result line,
+    with its attempted and failed operations and its verdict, and per
+    count whether the two sides report the same value."""
+
+    def side(run):
+        counts = {name: run["metrics"][name]["value"] for name in TRACED}
+        return {k: run[k] for k in ("attempted", "failed", "correct")} | counts
+
+    out = {s: side(run) for s, run in zip(SIDES, (parent, change))}
+    out["equal"] = {name: out["parent"][name] == out["change"][name] for name in TRACED}
     return out
 
 
@@ -216,6 +245,18 @@ def main(argv=None) -> int:
                 doc["workloads"][name] = workload_summary(seeds, first, raw, spec["end_to_end"])
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"bench_pairs: {name} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        doc["traced"] = {
+            "command": (
+                f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                "--trace 1, once per side on each workload's first seed, parent first"
+            ),
+        }
+        for w, name in enumerate(names):
+            seed = args.seed + w * args.pairs
+            runs = [run_once(trees[s], name, seed, args.seconds, trace=1) for s in SIDES]
+            doc["traced"][name] = traced_summary(*runs)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            print(f"bench_pairs: {name} traced", file=sys.stderr)
     return 0
 
 
