@@ -36,6 +36,16 @@ everything elementwise on Python floats. Those sums run in the host's
 BLAS, which may fuse multiply-adds, so the printed floats still depend
 on it, as they did under SciPy's loop.
 
+The steps themselves run in generated code, as the field does: on first
+use ``_step_loop`` compiles one straight-line loop per tableau and state
+size (RK45 on 2 floats for ``integrate``, on 3 for the first return,
+DOP853 on 2N for a grid of N) and caches it; importing this module builds
+none. The loop holds the state in locals, writes each stage's f into the
+stage array through a flat memoryview, and makes every stage, solution
+and error sum the same ``ndarray.dot`` call on the same array as before,
+into one reused buffer, so its floats are those of SciPy's loop on any
+BLAS.
+
 The field is evaluated by one compiled kernel per call site
 (``poly.float_code``), fed Python floats unpacked from the solver's
 state: the values are bit for bit those of the plain term loop, so
@@ -349,9 +359,10 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
     It takes the same steps to the same bits as SciPy's solver of the
     tableau ``tab`` (RK45 or DOP853) driven by solve_ivp at rtol
     ``REL_TOL`` and atol ``ABS_TOL``, read once per call: the initial
-    step of ``select_initial_step``, here, then the step control of
-    ``RungeKutta._step_impl`` in the loop ``_step_loop`` generates for
-    ``tab`` and the state size. Its stage, solution and error sums are
+    step of ``select_initial_step``, taken here, then the step control of
+    ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
+    for ``tab`` and the state size, compiled on the first call with that
+    pair and cached. Its stage, solution and error sums are
     ``ndarray.dot`` on one stage array K (the same BLAS calls as SciPy's
     ``np.dot``, so the same fused or unfused rounding), the tableau's
     error norm takes each vector norm as a BLAS dot too, and each
@@ -440,7 +451,7 @@ def _row(s: int, n: int) -> str:
 # The step loop of RungeKutta._step_impl, for one tableau and state size;
 # _step_loop fills in the fields. K has a row per stage and a last row,
 # f at the step's end, which the next step takes as its row 0 (SciPy's
-# self.f).
+# self.f). Only RK45 runs get events, so only they reach P.
 _STEP_LOOP = """\
 def make(tab):
     A, C, P = tab.A, tab.C, tab.P
@@ -512,13 +523,6 @@ def make(tab):
             {y_names} = y
             if direction * (t - t_bound) >= 0:
                 status = 0
-{events}
-        return status, nfev, ts, ys, interpolants, t_events
-    return loop
-"""
-
-# The event search after an accepted step; RK45 only (it needs P).
-_EVENTS = """\
             if events:
                 interp = _Interpolant(t_old, t, y_old, err_dot(P))
                 interpolants.append(interp)
@@ -546,9 +550,15 @@ _EVENTS = """\
                 interpolants.pop()
             else:
                 ts.append(t)
-                ys.append(y)"""
+                ys.append(y)
+        return status, nfev, ts, ys, interpolants, t_events
+    return loop
+"""
 
 
+
+# one loop per grid size classify is given: bounded, so that a process
+# classifying many grid sizes does not keep a loop for each
 @functools.lru_cache(maxsize=32)
 def _step_loop(tab: _Tableau, n: int):
     """The step loop of ``_runge_kutta`` for tableau ``tab`` and states of
@@ -597,7 +607,6 @@ def _step_loop(tab: _Tableau, n: int):
         y_new=block([f"z{i} = y{i} + h * d{i}" for i in range(n)], 16),
         scale=block(scale, 16),
         error_norm=block(tab.error_norm(n), 16),
-        events=_EVENTS if tab.P is not None else block(["ts.append(t)", "ys.append(y)"], 12),
     )
     namespace: dict = {}
     exec(compile(source, f"<step loop n={n}>", "exec"), globals(), namespace)

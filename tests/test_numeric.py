@@ -1,9 +1,14 @@
 import csv
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from scipy.optimize import brentq as scipy_brentq
 from centerfocus import (
     BiPoly,
     CenterLike,
+    compute_lyapunov,
     FocusLike,
     InverseSpec,
     build_field,
@@ -830,3 +836,214 @@ def test_section_fallback_calls_brentq_through_the_module(monkeypatch):
     got = return_map(radial_cubic(), 0.1).delta
     assert len(brackets) == 1
     assert abs(got - want) < 1e-12
+
+
+# -- the generated step loops across state sizes --------------------------------
+
+STATE_SIZES = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def linear_cubic_system(seed, n):
+    """A seeded y_i' = sum_j M_ij y_j + b_i y_(i+1)^3 + e_i t on n floats,
+    entries in [-1, 1] / sqrt(n), and a start point in [-1, 1]^n.
+
+    The t term makes each stage's time matter. ``fun`` reads the state as
+    either loop passes it (a list here, an ndarray in SciPy) and works on
+    Python floats, so both loops see the same values."""
+    rng = random.Random(seed)
+    w = 1 / math.sqrt(n)
+    m = [[rng.uniform(-w, w) for _ in range(n)] for _ in range(n)]
+    b = [rng.uniform(-w, w) for _ in range(n)]
+    e = [rng.uniform(-w, w) for _ in range(n)]
+    y0 = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+    def fun(t, s):
+        v = [float(a) for a in s]
+        out = []
+        for i in range(n):
+            total = 0.0
+            for mij, vj in zip(m[i], v):
+                total += mij * vj
+            u = v[(i + 1) % n]
+            out.append(total + b[i] * (u * u * u) + e[i] * float(t))
+        return out
+
+    return fun, y0
+
+
+def scipy_run(fun, t_span, y0, method, **kwargs):
+    return scipy_solve_ivp(
+        fun, t_span, y0, method=method, rtol=numeric.REL_TOL, atol=numeric.ABS_TOL, **kwargs
+    )
+
+
+@pytest.mark.parametrize("n", STATE_SIZES)
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t_end=st.floats(0.1, 1.0), backward=st.booleans())
+def test_generated_step_loop_matches_scipy(method, n, seed, t_end, backward):
+    fun, y0 = linear_cubic_system(seed, n)
+    t_span = (0.0, -t_end if backward else t_end)
+    got = numeric.solve_ivp(fun, t_span, y0, method=method)
+    same_run(got, scipy_run(fun, t_span, y0, method))
+
+
+def angle_events(pq):
+    """The first return's two terminal events, on the angle-augmented state."""
+
+    def turn_done(_t, s):
+        return float(s[2]) - TWO_PI
+
+    def stalled(_t, s):
+        x, y = float(s[0]), float(s[1])
+        px, qx = pq(x, y)
+        return x * qx - y * px
+
+    turn_done.terminal = stalled.terminal = True
+    turn_done.direction, stalled.direction = 1.0, -1.0
+    return turn_done, stalled
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_step_loop_with_events_matches_scipy(seed):
+    # x' = -y + linear + cubic, y' = x + linear + cubic, theta' as in
+    # _first_return: RK45 with its two events on a state of 3 floats
+    rng = random.Random(seed)
+    a = [rng.uniform(-0.2, 0.2) for _ in range(4)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(8)]
+    c = rng.uniform(0.05, 0.5)
+
+    def pq(x, y):
+        cubic = (x * x * x, x * x * y, x * y * y, y * y * y)
+        px = -y + a[0] * x + a[1] * y + sum(k * m for k, m in zip(b[:4], cubic))
+        qx = x + a[2] * x + a[3] * y + sum(k * m for k, m in zip(b[4:], cubic))
+        return px, qx
+
+    def rhs(_t, s):
+        x, y = float(s[0]), float(s[1])
+        px, qx = pq(x, y)
+        return [px, qx, (x * qx - y * px) / (x * x + y * y)]
+
+    events = angle_events(pq)
+    got = numeric.solve_ivp(rhs, (0.0, 50.0), [c, 0.0, 0.0], events=events)
+    want = scipy_run(rhs, (0.0, 50.0), [c, 0.0, 0.0], "RK45", dense_output=True, events=events)
+    same_run(got, want)
+    ts = [*np.linspace(want.t[0], want.t[-1], 17), *np.concatenate(want.t_events)]
+    assert all(same_array(got.sol(float(t)), want.sol(t)) for t in ts)
+
+
+def test_dop853_step_loop_runs_a_thousand_point_grid():
+    # classify --c with 1 000 points asks for DOP853 on 2 000 floats: one
+    # generated function of that size compiles (no RecursionError) and
+    # steps as SciPy does
+    n = 2000
+    rates = [-1.0 + i / n for i in range(n)]
+
+    def fun(t, s):
+        return [k * float(v) + 0.5 * float(t) for k, v in zip(rates, s)]
+
+    y0 = [1.0 + i / n for i in range(n)]
+    got = numeric.solve_ivp(fun, (0.0, 0.05), y0, method="DOP853")
+    same_run(got, scipy_run(fun, (0.0, 0.05), y0, "DOP853"))
+
+
+def test_step_loops_are_built_lazily_and_once():
+    # a fresh process: importing numeric and a symbolic command build no
+    # step function; two orbits on the same state size build one
+    script = textwrap.dedent("""
+        import contextlib, io, json
+        from centerfocus import get, integrate, numeric
+        from centerfocus.cli import main
+
+        def built():
+            info = numeric._step_loop.cache_info()
+            return [info.misses, info.hits]
+
+        seen = [built()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["analyze", "--input", "bautin.json", "--order", "12"])
+        seen.append(built())
+        field = get("bautin", lam3=1, lam6=1).field
+        integrate(field, 0.1, 0.0, 1.0)
+        integrate(field, 0.2, 0.0, 2.0)
+        seen.append(built())
+        print(json.dumps(seen))
+    """)
+    src = Path(numeric.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    flags = ["-O"] * sys.flags.optimize
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        cwd=Path(__file__).parent / "data" / "cli", env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(out.stdout) == [[0, 0], [0, 0], [1, 1]]
+
+
+# -- V_k against the return map, by value ----------------------------------------
+#
+# Over one turn from (c, 0), delta(c) = 2 pi V_k c^(2k+1) (1 + O(c^m)) for the
+# first nonzero V_k, where m + 1 is the degree of a homogeneous nonlinearity:
+# the displacement series runs in powers c^(1 + j m). So the ratio R(c) of the
+# return map's delta to that prediction tends to 1 as c -> 0, until the float
+# map's own error takes over: about 7e-14 in delta (ROADMAP item 6), for which
+# FLOAT_FLOOR allows three times that.
+
+FLOAT_FLOOR = 2e-13
+
+
+def displacement_ratio(field, c, k, v):
+    """R(c) and the predicted displacement 2 pi V_k c^(2k+1)."""
+    want = TWO_PI * float(v) * c ** (2 * k + 1)
+    return return_map(field, c).delta / want, want
+
+
+@pytest.mark.parametrize("name", ["quartic_uuu", "quartic_ttt"])
+def test_v3_predicts_the_quartic_displacement(name):
+    # quartic nonlinearity: R(c) = 1 + a c^3 + O(c^6). a is read at c = 0.2,
+    # where the floor is 1e-7 of delta; at c = 0.1 and 0.05 R must follow
+    # that law to within twice its term plus the floor
+    field = get(name).field
+    v = compute_lyapunov(field, 12).v_list
+    assert v[:2] == (0, 0) and v[2] != 0
+    r_ref, _ = displacement_ratio(field, 0.2, 3, v[2])
+    a = (r_ref - 1) / 0.2**3
+    for c in (0.05, 0.1):
+        r, want = displacement_ratio(field, c, 3, v[2])
+        assert abs(r - 1) <= 2 * abs(a) * c**3 + FLOAT_FLOOR / abs(want), (c, r)
+
+
+def bautin_draw(seed):
+    """perfbench's Bautin draw: V_1 != 0 and quadratic coefficients whose
+    absolute values sum to at most 4; returns the field and that sum."""
+    rng = random.Random(seed)
+
+    def rand_q():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((2, 3, 4, 5)))
+
+    while True:
+        l2, l3, l4, l5 = (rand_q() for _ in range(4))
+        field = bautin_field(l2, l3, l4, l5, l3 + rand_q())
+        size = sum(abs(c) for f in (field.p, field.q) for (i, j), c in f.terms() if i + j == 2)
+        if size <= 4:
+            return field, size
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_v1_predicts_the_bautin_displacement(seed):
+    # quadratic nonlinearity: R(c) = 1 + a c + b c^2 + O(c^3), and R depends
+    # on the field and c only through c times its quadratic coefficients,
+    # so a is linear in them: |R - 1| <= size c / 4 in the band below. The
+    # quadratic through c, c/2, c/4 extrapolates R to 1 at c = 0 up to its
+    # c^3 term over 8 and five times the floor
+    field, size = bautin_draw(seed)
+    (v1,) = compute_lyapunov(field, 2).v_list
+    assert v1 != 0
+    cs = (0.05, 0.025, 0.0125)
+    runs = [displacement_ratio(field, c, 1, v1) for c in cs]
+    for (r, want), c in zip(runs, cs):
+        assert abs(r - 1) <= size * c / 4 + FLOAT_FLOOR / abs(want), (c, r)
+    r1, r2, r4 = (r for r, _ in runs)
+    assert abs((8 * r4 - 6 * r2 + r1) / 3 - 1) <= 1e-3 + 5 * FLOAT_FLOOR / abs(runs[2][1])
