@@ -557,8 +557,8 @@ def make(tab):
 
 
 
-# one loop per grid size classify is given: bounded, so that a process
-# classifying many grid sizes does not keep a loop for each
+# bounded: a process that classifies grids of many sizes keeps at most
+# 32 loops, not one per size
 @functools.lru_cache(maxsize=32)
 def _step_loop(tab: _Tableau, n: int):
     """The step loop of ``_runge_kutta`` for tableau ``tab`` and states of
