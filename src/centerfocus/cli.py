@@ -185,8 +185,18 @@ def _terms_json(p: BiPoly) -> list:
     return [{"i": i, "j": j, "c": _coeff_json(c)} for (i, j), c in p.terms()]
 
 
+def _approx(v: Fraction) -> float:
+    """The float nearest v; inf or -inf where v lies beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _exact_json(v: Fraction) -> dict:
-    return {"exact": str(v), "approx": float(v)}
+    # JSON has no infinity: a hint beyond the float range is null
+    approx = _approx(v)
+    return {"exact": str(v), "approx": approx if math.isfinite(approx) else None}
 
 
 def system_json(name: str, field: PlanarField, metadata: dict | None = None) -> dict:
@@ -368,7 +378,7 @@ def _analyze_one(path: str, order: int) -> tuple[dict, list[str]]:
     lines = [f"name:    {name}", f"order:   {order}"]
     if degs:
         lines.append(f"solved:  H_{degs[0]} .. H_{degs[-1]}")
-    lines += [f"V_{k} = {v} (~ {float(v)})" for k, v in enumerate(res.v_list, start=1)]
+    lines += [f"V_{k} = {v} (~ {_approx(v)})" for k, v in enumerate(res.v_list, start=1)]
     lines.append(f"verdict: {res.describe()}")
     return _report(f"analyze --order {order} --input {path}", digest, results), lines
 

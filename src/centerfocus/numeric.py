@@ -28,7 +28,7 @@ collapse long before ``MAX_TIME``), and an orbit that takes more than
 batch declines on the same budget, which the step loop enforces.
 
 Both integrators run on one explicit Runge-Kutta step loop owned here
-(``_runge_kutta``), not SciPy's: given RK45's or DOP853's tableau, it
+(``solve_ivp``), not SciPy's: given RK45's or DOP853's tableau, it
 takes SciPy's steps bit for bit, initial step, step control, error
 norm, dense output and event location included, with every stage,
 solution and error sum still a BLAS dot product on one stage array and
@@ -128,23 +128,6 @@ class IvpResult:
     nfev: int
     status: int
     message: str
-
-
-def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf):
-    """RK45 or DOP853 over ``t_span`` at the tolerances ``REL_TOL`` and
-    ``ABS_TOL``, on the step loop owned here (``_runge_kutta``).
-
-    It takes the steps of ``scipy.integrate.solve_ivp`` called with those
-    tolerances, and with ``dense_output=True`` when there are events.
-    ``fun`` and the events get the state as a list of Python floats and
-    the result is an ``IvpResult``. Any other method is a ValueError.
-    ``max_nfev``, which SciPy does not have, ends the run with status -2
-    once an attempted step takes ``nfev`` past it.
-    """
-    if method not in ("RK45", "DOP853"):
-        raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
-    t0, t_bound = map(float, t_span)
-    return _runge_kutta(_TABLEAUX[method], fun, t0, t_bound, y0, events, max_nfev)
 
 
 # scipy.integrate's RungeKutta step-size control (scipy/integrate/_ivp/rk.py)
@@ -353,16 +336,19 @@ class _DenseSolution:
         return self.interpolants[min(max(bisect_left(self.ts, t) - 1, 0), last)].at(t)
 
 
-def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math.inf) -> IvpResult:
-    """``solve_ivp`` with SciPy's RungeKutta step loop owned here.
+def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) -> IvpResult:
+    """RK45 or DOP853 over ``t_span`` at the tolerances ``REL_TOL`` and
+    ``ABS_TOL``, on the step loop owned here; any other method is a
+    ValueError. ``fun`` and the events get the state as a list of Python
+    floats and the result is an ``IvpResult``.
 
-    It takes the same steps to the same bits as SciPy's solver of the
-    tableau ``tab`` (RK45 or DOP853) driven by solve_ivp at rtol
-    ``REL_TOL`` and atol ``ABS_TOL``, read once per call: the initial
-    step of ``select_initial_step``, taken here, then the step control of
+    It takes the same steps to the same bits as
+    ``scipy.integrate.solve_ivp`` called with those tolerances, and with
+    ``dense_output=True`` when there are events: the initial step of
+    ``select_initial_step``, taken here, then the step control of
     ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
-    for ``tab`` and the state size, compiled on the first call with that
-    pair and cached. Its stage, solution and error sums are
+    for the method's tableau and the state size, compiled on the first
+    call with that pair and cached. Its stage, solution and error sums are
     ``ndarray.dot`` on one stage array K (the same BLAS calls as SciPy's
     ``np.dot``, so the same fused or unfused rounding), the tableau's
     error norm takes each vector norm as a BLAS dot too, and each
@@ -372,65 +358,63 @@ def _runge_kutta(tab: _Tableau, fun, t0, t_bound, y0, events=None, max_nfev=math
     NumPy's unfused elementwise loops do; where NumPy gives inf or nan
     instead of raising, the code here does too. ``nfev`` counts as
     SciPy's does: 2 + one per stage for each attempted step; once an
-    attempted step takes it past ``max_nfev`` the run stops there with
-    status -2. Every event is taken as terminal and must have a nonzero
-    ``direction``, the only kind the callers pass. A run with events
-    keeps each step's interpolant and returns them as its dense
-    solution, as solve_ivp with ``dense_output=True`` does; events are
-    RK45's only, the only method the callers pass them to, and run
-    forward only, the only way the callers ask it.
+    attempted step takes it past ``max_nfev``, which SciPy does not have,
+    the run stops there with status -2. Every event is taken as terminal
+    and must have a nonzero ``direction``, the only kind the callers
+    pass. A run with events keeps each step's interpolant and returns
+    them as its dense solution ``sol``; events are RK45's only, the only
+    method the callers pass them to, and run forward only, the only way
+    the callers ask it.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
     the solver's constructor does, and the result is y0 at t0 and
-    t_bound (``nfev`` 1, no dense solution and no event sought; no
-    caller passes events over an empty span).
+    t_bound (``nfev`` 1, no dense solution and no event found).
     """
+    if method not in ("RK45", "DOP853"):
+        raise ValueError(f"method must be 'RK45' or 'DOP853', got {method!r}")
+    tab = _TABLEAUX[method]
+    t0, t_bound = map(float, t_span)
     if events and tab.P is None:
         raise ValueError("events need the RK45 tableau")
     if events and t_bound < t0:
         raise ValueError("events run forward only")
-    rtol, atol = REL_TOL, ABS_TOL
     events = () if events is None else tuple(events)
     y = [float(v) for v in y0]
     if t0 == t_bound:
         fun(t0, y)
-        return IvpResult(
-            t=np.array([t0, t_bound]),
-            y=np.array([y, y]).T,
-            sol=None,
-            t_events=[np.empty(0) for _ in events] if events else None,
-            nfev=1,
-            status=0,
-            message=_MESSAGES[0],
-        )
-    direction = 1.0 if t_bound > t0 else -1.0
-
-    # select_initial_step
-    f = [float(v) for v in fun(t0, y)]
-    interval = abs(t_bound - t0)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms(np.array([v / s for v, s in zip(y, scale)]))
-    d1 = _rms(np.array([v / s for v, s in zip(f, scale)]))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    hd = h0 * direction
-    f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
-    # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
-    # inf or nan, not an exception, and h1 below is 0 either way
-    d2 = _rms(np.array([(a - b) / s for a, b, s in zip(f1, f, scale)])) / h0 if h0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+        status, nfev, ts, ys = 0, 1, [t0, t_bound], [y, y]
+        interpolants, t_events = [], [[] for _ in events]
     else:
-        h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
-    h_abs = min(100 * h0, h1, interval)
+        direction = 1.0 if t_bound > t0 else -1.0
 
-    status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
-        fun, t0, y, f, h_abs, t_bound, direction, rtol, atol, max_nfev, events
-    )
+        # select_initial_step
+        f = [float(v) for v in fun(t0, y)]
+        interval = abs(t_bound - t0)
+        scale = [ABS_TOL + abs(v) * REL_TOL for v in y]
+        d0 = _rms(np.array([v / s for v, s in zip(y, scale)]))
+        d1 = _rms(np.array([v / s for v, s in zip(f, scale)]))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        hd = h0 * direction
+        f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
+        # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
+        # inf or nan, not an exception, and h1 below is 0 either way
+        d2 = (
+            _rms(np.array([(a - b) / s for a, b, s in zip(f1, f, scale)])) / h0 if h0 else math.inf
+        )
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
+        h_abs = min(100 * h0, h1, interval)
+
+        status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
+            fun, t0, y, f, h_abs, t_bound, direction, max_nfev, events
+        )
     return IvpResult(
         t=np.array(ts),
         y=np.array(ys).T,
-        sol=_DenseSolution(ts, interpolants) if events else None,
+        sol=_DenseSolution(ts, interpolants) if interpolants else None,
         t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
         nfev=nfev,
         status=status,
@@ -457,8 +441,9 @@ def make(tab):
     A, C, P = tab.A, tab.C, tab.P
     B, error_exponent = tab.B, tab.error_exponent
     {error_rows} = tab.error_rows
+    rtol, atol = REL_TOL, ABS_TOL
 {stage_constants}
-    def loop(fun, t, y, f, h_abs, t_bound, direction, rtol, atol, max_nfev, events):
+    def loop(fun, t, y, f, h_abs, t_bound, direction, max_nfev, events):
         K = np.empty(({n_stages} + 1, {n}))
         Kd = memoryview(K).cast("B").cast("d")
         buf = np.empty({n})
@@ -561,8 +546,9 @@ def make(tab):
 # 32 loops, not one per size
 @functools.lru_cache(maxsize=32)
 def _step_loop(tab: _Tableau, n: int):
-    """The step loop of ``_runge_kutta`` for tableau ``tab`` and states of
-    n floats, compiled on first use and cached.
+    """The step loop of ``solve_ivp`` for tableau ``tab`` and states of
+    n floats, compiled on first use and cached. It binds ``REL_TOL`` and
+    ``ABS_TOL`` once, when it is built.
 
     The state is unpacked into the locals y0..y{n-1}. Each stage sum is
     ``K[:s].T.dot(a_s, buf)`` into one reused buffer, read back as the

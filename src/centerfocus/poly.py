@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .errors import NonRealInput
+from .errors import NonRealInput, PreconditionFailed
 
 Scalar = Union[Fraction, int]
 Slice = tuple[list[int], int]  # (nums, den): nums[k] / den is the x^k y^(n-k) coefficient
@@ -384,7 +384,7 @@ def float_code(polys: Sequence[BiPoly]) -> Callable[[float, float], tuple[float,
     and shared by all terms and polynomials; x**1 is written x and
     x**0 is dropped, because multiplying by x**1 or by 1.0 is exact.
     Coefficients are bound as closure variables, never printed as
-    literals.
+    literals; one whose magnitude no float holds is PreconditionFailed.
     """
     coeffs: list[float] = []
     powers: set[tuple[str, int]] = set()
@@ -393,7 +393,12 @@ def float_code(polys: Sequence[BiPoly]) -> Callable[[float, float], tuple[float,
         products = []
         for (i, j), c in p.terms():
             factors = [f"c{len(coeffs)}"]
-            coeffs.append(float(c))
+            try:
+                coeffs.append(float(c))
+            except OverflowError:
+                raise PreconditionFailed(
+                    f"coefficient of x^{i} y^{j} lies outside the float range"
+                ) from None
             for var, e in (("x", int(i)), ("y", int(j))):
                 if e == 1:
                     factors.append(var)

@@ -57,12 +57,9 @@ def hg_decompose(field: PlanarField) -> HGDecomposition:
         if sol.k_const:
             raise ObstructionNonzeroAverage(comp.degree, sol.k_const)
         g = g + sol.f.inner
-    h = BiPoly()
-    for k in range(2, field.degree + 1):
-        xk = xs.homogeneous_component(k)
-        yk = ys.homogeneous_component(k)
-        gk = g.homogeneous_component(k - 1)
-        h = h + (X * (yk - X * gk) - Y * (xk + Y * gk)) * Fraction(1, k + 1)
+    # Euler: the degree-d part of x Y - y X - (x^2 + y^2) g is d h_d
+    w = X * ys - Y * xs - R2 * g
+    h = BiPoly({(i, j): c / (i + j) for (i, j), c in w.terms()})
     # solvability was established slice by slice; failure here is a bug
     if -h.diff_y() - Y * g != xs or h.diff_x() + X * g != ys:
         raise AssertionError("h/g decomposition does not reproduce the field")

@@ -182,6 +182,25 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "V_1 = 1" in out and "verdict: UnstableFocus(1)" in out
 
+    def test_focus_quantity_beyond_the_float_range(self, tmp_path, capsys):
+        # x' = -y - 10^200 x^2 + 10^200 xy, y' = x + xy: V_1 = -10^400 / 8 is
+        # exact, and its float hint is -inf in text and null in JSON
+        big = 10**200
+        path = write_system(
+            tmp_path, [{"i": 2, "j": 0, "c": -big}, {"i": 1, "j": 1, "c": big}],
+            [{"i": 1, "j": 1, "c": 1}],
+        )
+        v1 = str(Fraction(-big * big, 8))
+        assert main(["analyze", "--input", path, "--order", "2"]) == 0
+        assert f"V_1 = {v1} (~ -inf)\n" in capsys.readouterr().out
+        assert main(["analyze", "--input", path, "--order", "2", "--json"]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert rep["results"]["v"] == [{"exact": v1, "approx": None}]
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = radial_cubic_file(tmp_path)
         argv = ["analyze", "--input", path, "--order", "6", "--json"]
@@ -534,6 +553,22 @@ class TestNumericCommands:
         assert err.startswith("centerfocus: StepFailure: ")
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("command", [
+        ["classify"],
+        ["period", "--c", "0.1"],
+        ["returnmap", "--c", "0.1"],
+        ["orbit", "--x0", "0.1", "--y0", "0", "--t", "1", "--out", "orbit.csv"],
+    ], ids=["classify", "period", "returnmap", "orbit"])
+    def test_coefficient_beyond_the_float_range_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # x' = -y + 10^400 x^2: a valid JSON integer that no float holds
+        path = write_system(tmp_path, [{"i": 2, "j": 0, "c": 10**400}], [])
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--input", path, *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "centerfocus: PreconditionFailed: coefficient of x^2 y^0 lies outside the float range\n"
+        assert not (tmp_path / "orbit.csv").exists()
 
     @pytest.mark.parametrize("target", ["missing/orbit.csv", "."])
     def test_unwritable_orbit_out_exits_2(self, tmp_path, capsys, monkeypatch, target):

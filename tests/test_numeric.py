@@ -22,6 +22,7 @@ from centerfocus import (
     BiPoly,
     CenterLike,
     compute_lyapunov,
+    evaluate,
     FocusLike,
     InverseSpec,
     build_field,
@@ -368,6 +369,23 @@ def test_kernel_overflow_is_a_step_failure(call):
     # x' = -y + x^2000 leaves the float range at once from x = 1.5
     with pytest.raises(StepFailure, match="OverflowError"):
         call(nl_field({(2000, 0): 1}, {}))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field: evaluate(field.p, 0.1, 0.0),
+        lambda field: find_equilibria(field),
+        lambda field: integrate(field, 0.1, 0.0, 1.0),
+        lambda field: numeric_classify(field, (0.1,)),
+    ],
+    ids=["evaluate", "find_equilibria", "integrate", "numeric_classify"],
+)
+def test_coefficient_beyond_the_float_range_is_a_precondition(call):
+    # 10^400 has no float: the kernel is never built, and the error names
+    # the term, not the coefficient's 401 digits
+    with pytest.raises(PreconditionFailed, match=r"^coefficient of x\^2 y\^0 lies outside the float range$"):
+        call(nl_field({(2, 0): 10**400}, {}))
 
 
 def test_grid_batch_declines_on_a_kernel_overflow(monkeypatch):
@@ -1014,18 +1032,24 @@ def test_v3_predicts_the_quartic_displacement(name):
         assert abs(r - 1) <= 2 * abs(a) * c**3 + FLOAT_FLOOR / abs(want), (c, r)
 
 
+def perfbench_q(rng):
+    """perfbench's coefficient draw: +-1..3 over 2..5."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((2, 3, 4, 5)))
+
+
+def coefficient_size(field, degree):
+    """The sum of the field's absolute coefficients of that degree."""
+    return sum(abs(c) for f in (field.p, field.q) for (i, j), c in f.terms() if i + j == degree)
+
+
 def bautin_draw(seed):
     """perfbench's Bautin draw: V_1 != 0 and quadratic coefficients whose
     absolute values sum to at most 4; returns the field and that sum."""
     rng = random.Random(seed)
-
-    def rand_q():
-        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((2, 3, 4, 5)))
-
     while True:
-        l2, l3, l4, l5 = (rand_q() for _ in range(4))
-        field = bautin_field(l2, l3, l4, l5, l3 + rand_q())
-        size = sum(abs(c) for f in (field.p, field.q) for (i, j), c in f.terms() if i + j == 2)
+        l2, l3, l4, l5 = (perfbench_q(rng) for _ in range(4))
+        field = bautin_field(l2, l3, l4, l5, l3 + perfbench_q(rng))
+        size = coefficient_size(field, 2)
         if size <= 4:
             return field, size
 
@@ -1048,3 +1072,60 @@ def test_v1_predicts_the_bautin_displacement(seed):
         assert abs(r - 1) <= size * c / 2 + FLOAT_FLOOR / abs(want), (c, r)
     r1, r2, r4 = (r for r, _ in runs)
     assert abs((8 * r4 - 6 * r2 + r1) / 3 - 1) <= 1e-3 + 5 * FLOAT_FLOOR / abs(runs[2][1])
+
+
+def cubic_draw(seed):
+    """perfbench's cubic draw: 3a + c + l + 3n = 3 s with s != 0, so
+    V_1 = 3 s / 8 and |V_1| >= 3/40; returns the field and the sum of its
+    absolute cubic coefficients (at most about 14)."""
+    rng = random.Random(seed)
+    a, b, c, d, k, l, m = (perfbench_q(rng) for _ in range(7))
+    field = cubic_field(a, b, c, d, k, l, m, (3 * perfbench_q(rng) - 3 * a - c - l) / 3)
+    return field, coefficient_size(field, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_v1_predicts_the_cubic_displacement(seed):
+    # cubic nonlinearity: R(c) = 1 + a c^2 + b c^4 + O(c^6), and R depends on
+    # the field and c only through c^2 times its cubic coefficients, so a is
+    # homogeneous of degree 1 in them and |R - 1| / (size c^2) depends only on
+    # their direction. It is largest towards a lone x^3 or y^3 term (3.76 in
+    # the band below), which the draws approach but cannot reach (every
+    # coefficient is at least 1/5): a hill climb over draws reached 2.25, and
+    # 8 000 random ones 1.87. The quadratic in c^2 through c, c/2, c/4
+    # extrapolates R to 1 at c = 0 up to its c^6 term over 64, homogeneous
+    # of degree 3: the lone terms read 1.02 (size c^2)^3, the climb 0.20 and
+    # the random draws 0.12, so 2 (size c^2)^3 plus twice the floor is
+    # allowed. |predicted delta| >= 7e-6 here
+    field, size = cubic_draw(seed)
+    (v1,) = compute_lyapunov(field, 2).v_list
+    assert v1 != 0
+    cs = (0.1, 0.05, 0.025)
+    runs = [displacement_ratio(field, c, 1, v1) for c in cs]
+    for (r, want), c in zip(runs, cs):
+        assert abs(r - 1) <= 4 * size * c**2 + FLOAT_FLOOR / abs(want), (c, r)
+    r1, r2, r4 = (r for r, _ in runs)
+    tol = 2 * (size * cs[0] ** 2) ** 3 + 2 * FLOAT_FLOOR / abs(runs[2][1])
+    assert abs((r1 - 20 * r2 + 64 * r4) / 45 - 1) <= tol
+
+
+# (k, lam4, c0, tol): lam5 = 0 leaves V_1 = 0 != V_2 at lam4 = -1, and
+# lam4 = 5 (lam6 - lam3) = -25/6 makes V_2 vanish too, at (lam2, lam3, lam6)
+# = (1/2, 1/3, -1/2). The quadratic through c0, c0/2, c0/4 misses R's c^3
+# term by its value at c0 over 8, four times what it misses at 3 c0 / 4:
+# that miss read 9.5e-5 (order 2) and 7.0e-3 (order 3), so tol is about
+# twice four times it. Order 3 needs c0 = 0.2, near the ratio series'
+# radius, for |predicted delta| at c0 / 4 to stay 2 500 times the floor;
+# at c0 / 4 = 0.025 order 2's is 8 400 times the floor.
+WEAK_FOCI = [(2, Fraction(-1), 0.1, 1e-3), (3, Fraction(-25, 6), 0.2, 0.06)]
+
+
+@pytest.mark.parametrize("k, lam4, c0, tol", WEAK_FOCI, ids=["order2", "order3"])
+def test_vk_predicts_the_weak_bautin_focus_displacement(k, lam4, c0, tol):
+    field = bautin_field(Fraction(1, 2), Fraction(1, 3), lam4, 0, Fraction(-1, 2))
+    v = compute_lyapunov(field, 2 * k).v_list
+    assert v[:k - 1] == (0,) * (k - 1) and v[k - 1] != 0
+    runs = [displacement_ratio(field, c, k, v[k - 1]) for c in (c0, c0 / 2, c0 / 4)]
+    r1, r2, r4 = (r for r, _ in runs)
+    assert abs((8 * r4 - 6 * r2 + r1) / 3 - 1) <= tol + 5 * FLOAT_FLOOR / abs(runs[2][1])
