@@ -560,14 +560,18 @@ class TestNumericCommands:
         ["returnmap", "--c", "0.1"],
         ["orbit", "--x0", "0.1", "--y0", "0", "--t", "1", "--out", "orbit.csv"],
     ], ids=["classify", "period", "returnmap", "orbit"])
-    def test_coefficient_beyond_the_float_range_exits_2(self, tmp_path, capsys, monkeypatch, command):
+    def test_coefficient_beyond_the_float_range_exits_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
         # x' = -y + 10^400 x^2: a valid JSON integer that no float holds
         path = write_system(tmp_path, [{"i": 2, "j": 0, "c": 10**400}], [])
         monkeypatch.chdir(tmp_path)
         assert main([command[0], "--input", path, *command[1:]]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "centerfocus: PreconditionFailed: coefficient of x^2 y^0 lies outside the float range\n"
+        assert err == (
+            "centerfocus: PreconditionFailed: coefficient of x^2 y^0 lies outside the float range\n"
+        )
         assert not (tmp_path / "orbit.csv").exists()
 
     @pytest.mark.parametrize("target", ["missing/orbit.csv", "."])

@@ -384,7 +384,9 @@ def test_kernel_overflow_is_a_step_failure(call):
 def test_coefficient_beyond_the_float_range_is_a_precondition(call):
     # 10^400 has no float: the kernel is never built, and the error names
     # the term, not the coefficient's 401 digits
-    with pytest.raises(PreconditionFailed, match=r"^coefficient of x\^2 y\^0 lies outside the float range$"):
+    with pytest.raises(
+        PreconditionFailed, match=r"^coefficient of x\^2 y\^0 lies outside the float range$"
+    ):
         call(nl_field({(2, 0): 10**400}, {}))
 
 
@@ -1077,7 +1079,7 @@ def test_v1_predicts_the_bautin_displacement(seed):
 def cubic_draw(seed):
     """perfbench's cubic draw: 3a + c + l + 3n = 3 s with s != 0, so
     V_1 = 3 s / 8 and |V_1| >= 3/40; returns the field and the sum of its
-    absolute cubic coefficients (at most about 14)."""
+    absolute cubic coefficients (at most 14.5)."""
     rng = random.Random(seed)
     a, b, c, d, k, l, m = (perfbench_q(rng) for _ in range(7))
     field = cubic_field(a, b, c, d, k, l, m, (3 * perfbench_q(rng) - 3 * a - c - l) / 3)
