@@ -313,16 +313,6 @@ def _param_pair(raw: str) -> tuple[str, str]:
     return key, value
 
 
-def _run_batch(paths, jobs: int, worker):
-    if jobs > 1 and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork pool starts all max_workers on the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(paths))) as pool:
-            return list(pool.map(worker, paths))
-    return [worker(path) for path in paths]
-
-
 def _tolerances() -> dict:
     return {"rel_tol": REL_TOL, "abs_tol": ABS_TOL, "section_abs": SECTION_ABS}
 
@@ -350,7 +340,15 @@ def _batch(args, worker) -> list[dict]:
     report, several print a list, and text blocks are blank-line separated.
     """
     _check_order(args.order, args.command)
-    outs = _run_batch(args.input, args.jobs, worker)
+    paths = args.input
+    if args.jobs > 1 and len(paths) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a fork pool starts all max_workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+            outs = list(pool.map(worker, paths))
+    else:
+        outs = [worker(path) for path in paths]
     reports = [rep for rep, _ in outs]
     lines: list[str] = []
     for idx, (_, rep_lines) in enumerate(outs):
@@ -626,14 +624,11 @@ def _cmd_orbit(args) -> int:
 
 
 def _jsonable(value):
+    # catalog extras: case lists (str), an invariant curve, a float tuple
     if isinstance(value, BiPoly):
         return _terms_json(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 

@@ -173,9 +173,7 @@ def weak_center_family(
 
 def _poly_divide(num: BiPoly, den: BiPoly) -> BiPoly | None:
     """Exact quotient num/den or None; multivariate long division by
-    the graded-lex leading term, remainder must vanish."""
-    if den.is_zero():
-        raise ZeroCurve("division by the zero polynomial")
+    the graded-lex leading term, remainder must vanish; den is nonzero."""
     lead_key, lead_c = list(den.terms())[-1]
     quotient = BiPoly()
     rem = num

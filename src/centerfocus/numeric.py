@@ -385,32 +385,36 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
         status, nfev, ts, ys = 0, 1, [t0, t_bound], [y, y]
         interpolants, t_events = [], [[] for _ in events]
     else:
-        direction = 1.0 if t_bound > t0 else -1.0
+        # a norm's BLAS dot may overflow to inf, which rejects the step; the
+        # RuntimeWarning NumPy adds for it is no part of the run's output
+        with np.errstate(over="ignore"):
+            direction = 1.0 if t_bound > t0 else -1.0
 
-        # select_initial_step
-        f = [float(v) for v in fun(t0, y)]
-        interval = abs(t_bound - t0)
-        scale = [ABS_TOL + abs(v) * REL_TOL for v in y]
-        d0 = _rms(np.array([v / s for v, s in zip(y, scale)]))
-        d1 = _rms(np.array([v / s for v, s in zip(f, scale)]))
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
-        hd = h0 * direction
-        f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
-        # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
-        # inf or nan, not an exception, and h1 below is 0 either way
-        d2 = (
-            _rms(np.array([(a - b) / s for a, b, s in zip(f1, f, scale)])) / h0 if h0 else math.inf
-        )
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
-        h_abs = min(100 * h0, h1, interval)
+            # select_initial_step
+            f = [float(v) for v in fun(t0, y)]
+            interval = abs(t_bound - t0)
+            scale = [ABS_TOL + abs(v) * REL_TOL for v in y]
+            d0 = _rms(np.array([v / s for v, s in zip(y, scale)]))
+            d1 = _rms(np.array([v / s for v, s in zip(f, scale)]))
+            h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+            h0 = min(h0, interval)
+            hd = h0 * direction
+            f1 = fun(t0 + hd, [v + hd * fv for v, fv in zip(y, f)])
+            # h0 is 0 only when d1 overflowed to inf: NumPy's division then gives
+            # inf or nan, not an exception, and h1 below is 0 either way
+            d2 = (
+                _rms(np.array([(a - b) / s for a, b, s in zip(f1, f, scale)])) / h0
+                if h0 else math.inf
+            )
+            if d1 <= 1e-15 and d2 <= 1e-15:
+                h1 = max(1e-6, h0 * 1e-3)
+            else:
+                h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
+            h_abs = min(100 * h0, h1, interval)
 
-        status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
-            fun, t0, y, f, h_abs, t_bound, direction, max_nfev, events
-        )
+            status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
+                fun, t0, y, f, h_abs, t_bound, direction, max_nfev, events
+            )
     return IvpResult(
         t=np.array(ts),
         y=np.array(ys).T,
@@ -845,16 +849,16 @@ def period(field: PlanarField, c: float) -> PeriodSample:
 def find_equilibria(
     field: PlanarField,
     box: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0),
-    grid_n: int = 41,
 ) -> list[tuple[float, float]]:
-    """Newton from a seed grid; keep residuals below 1e-10, dedupe at 1e-6."""
+    """Newton from a 41 x 41 seed grid over the box; keep residuals below
+    1e-10, dedupe at 1e-6."""
     p, q = field.p, field.q
     # values and Jacobian (p, q, p_x, p_y, q_x, q_y) in one call
     kernel = float_code((p, q, p.diff_x(), p.diff_y(), q.diff_x(), q.diff_y()))
     xmin, xmax, ymin, ymax = box
     found: list[tuple[float, float]] = []
-    for xs in np.linspace(xmin, xmax, grid_n):
-        for ys in np.linspace(ymin, ymax, grid_n):
+    for xs in np.linspace(xmin, xmax, 41):
+        for ys in np.linspace(ymin, ymax, 41):
             x, y = float(xs), float(ys)
             ok = False
             for _ in range(60):

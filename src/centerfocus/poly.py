@@ -65,6 +65,14 @@ class BiPoly:
                     clean[(i, j)] = c
         self._terms = clean
 
+    @staticmethod
+    def _of(terms: dict[tuple[int, int], Fraction]) -> "BiPoly":
+        """Wrap terms that are already clean (nonnegative exponents,
+        nonzero Fractions), neither checked nor copied."""
+        p = BiPoly.__new__(BiPoly)
+        p._terms = terms
+        return p
+
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
@@ -133,16 +141,12 @@ class BiPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        p = BiPoly.__new__(BiPoly)
-        p._terms = {k: -c for k, c in self._terms.items()}
-        return p
+        return BiPoly._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "BiPoly | Scalar") -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -157,9 +161,7 @@ class BiPoly:
             c = Fraction(other)
             if not c:
                 return BiPoly()
-            p = BiPoly.__new__(BiPoly)
-            p._terms = {k: v * c for k, v in self._terms.items()}
-            return p
+            return BiPoly._of({k: v * c for k, v in self._terms.items()})
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
@@ -169,9 +171,7 @@ class BiPoly:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -194,23 +194,17 @@ class BiPoly:
         for (i, j), c in self._terms.items():
             if i:
                 out[(i - 1, j)] = c * i
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._of(out)
 
     def diff_y(self) -> "BiPoly":
         out = {}
         for (i, j), c in self._terms.items():
             if j:
                 out[(i, j - 1)] = c * j
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._of(out)
 
     def homogeneous_component(self, n: int) -> "BiPoly":
-        p = BiPoly.__new__(BiPoly)
-        p._terms = {k: c for k, c in self._terms.items() if k[0] + k[1] == n}
-        return p
+        return BiPoly._of({k: c for k, c in self._terms.items() if k[0] + k[1] == n})
 
     # -- output ----------------------------------------------------------------
 
@@ -263,9 +257,7 @@ def homogeneous_components(p: BiPoly) -> list[HomogeneousPoly]:
         by_deg.setdefault(i + j, {})[(i, j)] = c
     out = []
     for n in sorted(by_deg):
-        q = BiPoly.__new__(BiPoly)
-        q._terms = by_deg[n]
-        out.append(HomogeneousPoly(n, q))
+        out.append(HomogeneousPoly(n, BiPoly._of(by_deg[n])))
     return out
 
 
@@ -288,9 +280,8 @@ def to_slice(p: BiPoly, n: int) -> Slice:
 def from_slice(n: int, s: Slice) -> HomogeneousPoly:
     """The degree-n slice s as a polynomial with reduced coefficients."""
     nums, den = s
-    p = BiPoly.__new__(BiPoly)
-    p._terms = {(k, n - k): Fraction(c, den) for k, c in enumerate(nums) if c}
-    return HomogeneousPoly(n, p)
+    terms = {(k, n - k): Fraction(c, den) for k, c in enumerate(nums) if c}
+    return HomogeneousPoly(n, BiPoly._of(terms))
 
 
 def slice_gradient(n: int, s: Slice) -> Gradient:

@@ -71,6 +71,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="exponents"):
             parse_system(json.dumps(doc))
 
+    @pytest.mark.parametrize("x_dot, want", [
+        (5, "x_dot: expected a list of terms"),
+        ([[0, 1, -1]], "x_dot[0]: term must be an object with keys i, j, c"),
+    ])
+    def test_term_list_shape_exits_2(self, tmp_path, capsys, x_dot, want):
+        path = write_doc(tmp_path, "sys.json", {"x_dot": x_dot, "y_dot": LINEAR_Y})
+        assert main(["analyze", "--input", path, "--order", "4"]) == 2
+        assert capsys.readouterr().err == f"centerfocus: ParseError: {want}\n"
+
     def test_missing_key(self):
         with pytest.raises(ParseError, match="y_dot"):
             parse_system(json.dumps({"x_dot": LINEAR_X}))
@@ -323,6 +332,41 @@ class TestUsageErrors:
             f"error: argument --c: section abscissas must be {want}\n"
         )
 
+    @pytest.mark.parametrize("raw, want", [
+        ("abc", "bad abscissa 'abc'"), (",", "empty abscissa list"),
+    ])
+    def test_abscissa_list_errors(self, tmp_path, capsys, raw, want):
+        path = radial_cubic_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["returnmap", "--input", path, "--c", raw])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f"error: argument --c: {want}\n")
+
+    def test_empty_abscissa_pieces_are_skipped(self, tmp_path, capsys):
+        path = radial_cubic_file(tmp_path)
+        assert main(["returnmap", "--input", path, "--c", "0.1,,0.2", "--json"]) == 0
+        samples = json.loads(capsys.readouterr().out)["results"]["samples"]
+        assert [row["c"] for row in samples] == [0.1, 0.2]
+
+    def test_coordinate_must_be_a_float(self, tmp_path, capsys):
+        path = radial_cubic_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--input", path, "--x0", "abc", "--y0", "0", "--t", "1",
+                  "--out", str(tmp_path / "orbit.csv")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --x0: invalid float value: 'abc'\n"
+        )
+
+    @pytest.mark.parametrize("raw", ["lam3", "=1"])
+    def test_param_needs_key_and_value(self, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "get", "bautin", "--param", raw])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --param: expected k=v, got {raw!r}\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -461,6 +505,26 @@ class TestDarboux:
         assert res["cofactor"] == [{"c": 1, "i": 1, "j": 0}]
         assert res["lambda"] == "2/3"
         assert res["darboux_verified"] is True
+
+    def test_curve_document_with_terms_key(self, tmp_path, capsys):
+        field_path = write_system(
+            tmp_path, [{"i": 2, "j": 0, "c": 1}], [{"i": 1, "j": 1, "c": 1}]
+        )
+        curve_path = write_doc(
+            tmp_path, "curve.json",
+            {"terms": [{"i": 0, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1}]},
+        )
+        assert main(["darboux", "--input", field_path, "--curve", curve_path, "--json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert (res["invariant"], res["cofactor"]) == (True, [{"c": 1, "i": 1, "j": 0}])
+
+    def test_curve_document_without_terms_exits_2(self, tmp_path, capsys):
+        field_path = radial_cubic_file(tmp_path)
+        curve_path = write_doc(tmp_path, "curve.json", {"nope": 1})
+        assert main(["darboux", "--input", field_path, "--curve", curve_path]) == 2
+        assert capsys.readouterr().err == (
+            "centerfocus: ParseError: expected a term list or an object with a 'terms' key\n"
+        )
 
     def test_non_invariant_curve(self, tmp_path, capsys):
         field_path = radial_cubic_file(tmp_path)
@@ -657,6 +721,29 @@ class TestNumericCommands:
             "centerfocus: TimeBudgetExceeded: no return within 500000 field evaluations\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["returnmap", "--c", "0.1"], ["period", "--c", "0.1"],
+    ], ids=["classify", "returnmap", "period"])
+    def test_overflowing_norm_prints_only_the_typed_error(self, tmp_path, command):
+        # x' = -y - 10^200 x^2 + 10^200 xy, y' = x + xy: the step-error
+        # norms' dots overflow, and NumPy once printed a RuntimeWarning for
+        # each ahead of the error line
+        path = write_system(
+            tmp_path,
+            [{"i": 2, "j": 0, "c": -10**200}, {"i": 1, "j": 1, "c": 10**200}],
+            [{"i": 1, "j": 1, "c": 1}],
+        )
+        src = Path(centerfocus.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-m", "centerfocus", *command, "--input", path],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "centerfocus: TimeBudgetExceeded: no return within 500000 field evaluations\n"
+        )
+
     def test_escaping_orbit_run_is_over_budget(self, tmp_path):
         # the same escape: orbit once ran until killed, as the budget of a
         # first return did not reach integrate
@@ -724,6 +811,13 @@ class TestCatalogCommand:
         assert meta["orientation"] == "clockwise"
         printed_x = meta["printed"]["x_dot"]
         assert {"c": 1, "i": 0, "j": 1} in printed_x  # +y before reversal
+
+    def test_get_carries_the_darboux_candidate(self, capsys):
+        assert main(["catalog", "get", "chava56", "--param", "a=1"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert meta["darboux"] == {
+            "form": "Power", "g": [{"c": 3, "i": 0, "j": 1}], "lambda": "2/3",
+        }
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["catalog", "get", "lorenz"]) == 2

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -534,6 +535,17 @@ def test_owned_dop853_step_size_failure_matches_scipy(monkeypatch):
     want = loop_grid_solution(field, (0.05, 0.6))
     assert want.status == -1
     same_run(runs[0], want)
+
+
+def test_overflowing_norm_warns_nothing():
+    # the run above, with NumPy's overflow warnings made errors: the dots
+    # that overflow inside solve_ivp warn nothing, so the step failure is
+    # what surfaces
+    field = nl_field({(2, 0): 10**150}, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StepFailure, match="less than spacing"):
+            integrate(field, 0.1, 0.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
