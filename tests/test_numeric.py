@@ -538,9 +538,9 @@ def test_owned_dop853_step_size_failure_matches_scipy(monkeypatch):
 
 
 def test_overflowing_norm_warns_nothing():
-    # the run above, with NumPy's overflow warnings made errors: the dots
-    # that overflow inside solve_ivp warn nothing, so the step failure is
-    # what surfaces
+    # test_owned_rk45_overflowing_step_estimate_matches_scipy's run, with
+    # NumPy's overflow warnings made errors: the dots that overflow inside
+    # solve_ivp warn nothing, so the step failure is what surfaces
     field = nl_field({(2, 0): 10**150}, {})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
