@@ -96,7 +96,8 @@ def complementary_residuals(spec: InverseSpec, up_to: int) -> list[BiPoly]:
     recursion, the prescribed degrees included, so where a prescribed
     even-degree H_j has a nonzero circle average the recursion's H_j
     differs from it. dV/dt is taken along the built field as a whole
-    polynomial, as `lyapunov.residual` does. Its slice at degree n+2
+    polynomial, as `lyapunov.residual` does, except that products of
+    degree above up_to+2 are never formed. Its slice at degree n+2
     collapses to V_{n/2} (x^2+y^2)^(n/2+1) for even n and vanishes for
     odd n. The first nonzero V_k does not depend on the gauges, so
     neither does the zero pattern up to the first nonzero residual. All
@@ -105,8 +106,22 @@ def complementary_residuals(spec: InverseSpec, up_to: int) -> list[BiPoly]:
     """
     field = build_field(spec)
     v = lyapunov_function(compute_lyapunov(field, max(up_to + 1, 2)))
-    dv = field.derivative_along(v)
+    dv = _derivative_to(field, v, up_to + 2)
     return [dv.homogeneous_component(n + 2) for n in range(spec.m, up_to + 1)]
+
+
+def _derivative_to(field: PlanarField, v: BiPoly, top: int) -> BiPoly:
+    """The terms of degree at most top of v_x p + v_y q; no product of
+    degree above top is formed."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for a, b in ((v.diff_x(), field.p), (v.diff_y(), field.q)):
+        for (i1, j1), c1 in a._terms.items():
+            room = top - i1 - j1
+            for (i2, j2), c2 in b._terms.items():
+                if i2 + j2 <= room:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out.get(key, 0) + c1 * c2
+    return BiPoly._of({k: c for k, c in out.items() if c})
 
 
 @dataclass(frozen=True)

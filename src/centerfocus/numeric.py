@@ -46,12 +46,17 @@ and error sum the same ``ndarray.dot`` call on the same array as before,
 into one reused buffer, so its floats are those of SciPy's loop on any
 BLAS.
 
-The field is evaluated by one compiled kernel per call site
-(``poly.float_code``), fed Python floats unpacked from the solver's
-state: the values are bit for bit those of the plain term loop, so
-orbits, return maps and periods do not depend on the kernel. A field
-that leaves the float range (``x**e`` overflowing) or an angle equation
-evaluated at the origin ends in ``StepFailure``.
+The right-hand sides the loop calls are generated as well: ``integrate``,
+``_first_return`` and ``_grid_deltas`` each compile one frame
+(``_ORBIT_FRAME``, ``_ANGLE_FRAME``, ``_GRID_FRAME``) once per call with
+``poly.float_code``, which writes the field's sums into it, so no call
+stands between the loop and the sums. They unpack Python floats from the
+solver's state, and their values are bit for bit those of the plain term
+loop, so orbits, return maps and periods do not depend on the kernel.
+The first return's frame also holds its ``stalled`` event and the
+Newton kernel of its section polish. A field that leaves the float range
+(``x**e`` overflowing) or an angle equation evaluated at the origin ends
+in ``StepFailure``.
 
 Nothing here imports SciPy. The pieces of it the loop needs are copies:
 the two tableaux are module constants with SciPy's exact floats, events
@@ -165,7 +170,7 @@ def _rk45_error_norm(n: int) -> list[str]:
         "err_dot(E0, buf)",
         f"{_names('d', n)} = bd",
         *(f"nbd[{i}] = d{i} * h / s{i}" for i in range(n)),
-        "err = _rms(nb)",
+        "err = sqrt(nb.dot(nb)) / rms_den",
     ]
 
 
@@ -382,7 +387,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     y = [float(v) for v in y0]
     if t0 == t_bound:
         fun(t0, y)
-        status, nfev, ts, ys = 0, 1, [t0, t_bound], [y, y]
+        status, nfev, ts, ys = 0, 1, [t0, t_bound], y + y
         interpolants, t_events = [], [[] for _ in events]
     else:
         # a norm's BLAS dot may overflow to inf, which rejects the step; the
@@ -417,7 +422,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
             )
     return IvpResult(
         t=np.array(ts),
-        y=np.array(ys).T,
+        y=np.array(ys).reshape(-1, len(y)).T,
         sol=_DenseSolution(ts, interpolants) if interpolants else None,
         t_events=[np.array(te, dtype=float) for te in t_events] if events else None,
         nfev=nfev,
@@ -446,6 +451,7 @@ def make(tab):
     B, error_exponent = tab.B, tab.error_exponent
     {error_rows} = tab.error_rows
     rtol, atol = REL_TOL, ABS_TOL
+    sqrt, rms_den = math.sqrt, {n} ** 0.5
 {stage_constants}
     def loop(fun, t, y, f, h_abs, t_bound, direction, max_nfev, events):
         K = np.empty(({n_stages} + 1, {n}))
@@ -460,7 +466,8 @@ def make(tab):
         {y_names} = y
         {last_row} = f
         nfev = 2
-        ts, ys = [t], [y]
+        nextafter, toward = math.nextafter, direction * math.inf
+        ts, ys = [t], list(y)
         interpolants = []
         t_events = [[] for _ in events]
         ev_dir = [ev.direction for ev in events]
@@ -468,7 +475,7 @@ def make(tab):
         status = None
         while status is None:
             Kd[:{n}] = Kd[{last_start}:]
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            min_step = 10 * abs(nextafter(t, toward) - t)
             if h_abs < min_step:
                 h_abs = min_step
             rejected = False
@@ -539,11 +546,61 @@ def make(tab):
                 interpolants.pop()
             else:
                 ts.append(t)
-                ys.append(y)
+                ys += y
         return status, nfev, ts, ys, interpolants, t_events
     return loop
 """
 
+# The right-hand sides the step loop calls, as poly.float_code frames: each
+# {sums} line becomes the field's sums, s0 = p(x, y) and s1 = q(x, y), so
+# no call stands between the loop and them.
+
+# integrate's orbit on (x, y)
+_ORBIT_FRAME = """\
+def rhs(_t, s):
+    x, y = s
+    {sums}
+    return s0, s1
+return rhs
+"""
+
+# _first_return's state (x, y, theta): the right-hand side with
+# theta' = (x q - y p) / (x^2 + y^2), the event where x q - y p falls
+# through 0, and y' alone for the Newton polish of the section crossing
+_ANGLE_FRAME = """\
+def rhs(_t, s):
+    x, y, _ = s
+    {sums}
+    return s0, s1, (x * s1 - y * s0) / (x * x + y * y)
+def stalled(_t, s):
+    x, y, _ = s
+    {sums}
+    return x * s1 - y * s0
+stalled.direction = -1.0
+def y_dot(x, y):
+    {sums}
+    return s1
+return rhs, stalled, y_dot
+"""
+
+# _grid_deltas' state (r_1..r_N, t_1..t_N) in theta: one loop over the N
+# points, so the source does not grow with N
+_GRID_FRAME = """\
+from math import cos, sin
+def rhs(theta, s):
+    ct, st = cos(theta), sin(theta)
+    n = len(s) // 2
+    out = [0.0] * len(s)
+    for i in range(n):
+        r = s[i]
+        x, y = r * ct, r * st
+        {sums}
+        den = x * s1 - y * s0
+        out[i] = r * (x * s0 + y * s1) / den
+        out[n + i] = r * r / den
+    return out
+return rhs
+"""
 
 
 # bounded: a process that classifies grids of many sizes keeps at most
@@ -561,8 +618,11 @@ def _step_loop(tab: _Tableau, n: int):
     the error scale are unrolled float expressions, each stage's f is
     written into its row of K through a flat ``memoryview`` of it, and
     each norm's operand is written into one preallocated vector before
-    its dot. The BLAS calls are SciPy's, on the same K layout, so the
-    floats are those of its loop on any BLAS.
+    its dot; RK45's RMS norm is written out as ``sqrt(nb.dot(nb)) /
+    rms_den``, its divisor sqrt(n) bound when the loop is built. The BLAS
+    calls are SciPy's, on the same K layout, so the floats are those of
+    its loop on any BLAS. The accepted states go into one flat list,
+    which ``solve_ivp`` reshapes into ``IvpResult.y``.
     """
     n_stages = len(tab.C)
     stage_sums = []
@@ -736,11 +796,7 @@ def integrate(field: PlanarField, x0: float, y0: float, t_end: float) -> Traject
     if abs(t_end) > MAX_TIME:
         raise TimeBudgetExceeded(f"t_end {t_end} exceeds budget {MAX_TIME}")
     max_nfev = int(EVAL_BUDGET * max(1.0, abs(t_end) / 100))
-    pq = float_code((field.p, field.q))
-
-    def rhs(_t, s):
-        return pq(*s)
-
+    rhs = float_code((field.p, field.q), _ORBIT_FRAME)
     with _float_range():
         sol = solve_ivp(rhs, (0.0, t_end), (x0, y0), method="RK45", max_nfev=max_nfev)
     if sol.status == -2:
@@ -770,24 +826,12 @@ def _first_return(field: PlanarField, c: float):
         raise PreconditionFailed("section abscissa must be positive")
     if not math.isfinite(c):
         raise PreconditionFailed("section abscissa must be finite")
-    pq = float_code((field.p, field.q))
-
-    def rhs(_t, s):
-        x, y, _ = s
-        px, qx = pq(x, y)
-        return (px, qx, (x * qx - y * px) / (x * x + y * y))
+    rhs, stalled, y_dot = float_code((field.p, field.q), _ANGLE_FRAME)
 
     def turn_done(_t, s):
         return s[2] - TWO_PI
 
     turn_done.direction = 1.0
-
-    def stalled(_t, s):
-        x, y, _ = s
-        px, qx = pq(x, y)
-        return x * qx - y * px
-
-    stalled.direction = -1.0
 
     with _float_range():
         sol = solve_ivp(
@@ -816,7 +860,7 @@ def _first_return(field: PlanarField, c: float):
         if abs(y_val) <= SECTION_ABS:
             break
         with _float_range():
-            ydot = pq(x_val, y_val)[1]
+            ydot = y_dot(x_val, y_val)
         if ydot == 0.0:
             break
         t_cur -= y_val / ydot
@@ -901,9 +945,11 @@ def _grid_deltas(field: PlanarField, c_grid: Sequence[float]) -> list[float] | N
     at x = r cos theta, y = r sin theta, so r_i(2 pi) is the first return
     of c_i to the positive x-axis and t_i(2 pi) its return time (Hairer,
     Norsett & Wanner, Solving ODEs I: change of the independent
-    variable). It shares ``_first_return``'s (p, q) kernel, tolerances and
-    evaluation budget, and runs DOP853 on the owned step loop, which
-    hands the right-hand side the state as a list of floats.
+    variable). Its right-hand side, ``_GRID_FRAME`` with the field's sums
+    written in, evaluates p and q as ``_first_return``'s does; it shares
+    that route's tolerances and evaluation budget, and runs DOP853 on the
+    owned step loop, which hands the right-hand side the state as a list
+    of floats.
     Returns None when the batch cannot vouch for every sample: some c is
     not a positive finite float, the integration failed (where the angle
     stalls, x q - y p -> 0 drives dr/dtheta without bound and the step
@@ -914,21 +960,7 @@ def _grid_deltas(field: PlanarField, c_grid: Sequence[float]) -> list[float] | N
     if not all(0.0 < c < math.inf for c in c_grid):
         return None
     n = len(c_grid)
-    pq = float_code((field.p, field.q))
-    cos, sin = math.cos, math.sin
-
-    def rhs(theta, s):
-        ct, st = cos(theta), sin(theta)
-        out = [0.0] * (2 * n)
-        for i in range(n):
-            r = s[i]
-            x, y = r * ct, r * st
-            px, qx = pq(x, y)
-            den = x * qx - y * px
-            out[i] = r * (x * px + y * qx) / den
-            out[n + i] = r * r / den
-        return out
-
+    rhs = float_code((field.p, field.q), _GRID_FRAME)
     try:
         sol = solve_ivp(
             rhs,

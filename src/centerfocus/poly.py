@@ -17,10 +17,13 @@ products over the lcm of their denominators); ``wallis_weights`` is the
 one table of circle averages both forms read.
 
 Float evaluation runs through generated straight-line code
-(``float_code``): one compiled function per polynomial, cached on the
-``BiPoly``, that performs exactly the operations of the term loop
+(``float_code``) that performs exactly the operations of the term loop
 ``total += float(c) * x**i * y**j`` in the same order, so every value
-is bit for bit the loop's.
+is bit for bit the loop's. It writes the sums of some polynomials into
+a frame, the source of the functions a caller needs: ``evaluate`` caches
+one function per polynomial on the ``BiPoly`` that returns the bare
+value, and ``numeric`` compiles the right-hand sides its step loop calls
+from its own frames, the sums inlined.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import NonRealInput, PreconditionFailed
 
@@ -364,8 +367,17 @@ def circle_average(p: BiPoly | HomogeneousPoly) -> Fraction:
 _SUM_CHUNK = 256
 
 
-def float_code(polys: Sequence[BiPoly]) -> Callable[[float, float], tuple[float, ...]]:
-    """Compile one function of (x, y) returning the float value of each polynomial.
+def float_code(polys: Sequence[BiPoly], frame: str | None = None):
+    """Compile the float values of polys into the functions of ``frame``.
+
+    ``frame`` is the body of a factory: one or more ``def``s, each with a
+    line that reads ``{sums}`` alone, where the sums go at that line's
+    indent, and a last ``return`` of what the caller gets. The sums bind
+    s0, s1, ... to the polynomials' values at the locals x and y, which
+    the frame sets; the coefficients are c0, c1, ... and the powers x2,
+    y2, x3, ..., so the frame uses none of those names for its own
+    values. Without a frame the result is one function of (x, y) that
+    returns the tuple of every value.
 
     The values are bit for bit those of the term loop
     ``total = 0.0; total += float(c) * x**i * y**j`` over ``p.terms()``:
@@ -398,24 +410,38 @@ def float_code(polys: Sequence[BiPoly]) -> Callable[[float, float], tuple[float,
                     powers.add((var, e))
             products.append("*".join(factors))
         sums.append(products)
-    body = [f"        {var}{e} = {var}**{e}" for var, e in sorted(powers)]
+    body = [f"{var}{e} = {var}**{e}" for var, e in sorted(powers)]
     for k, products in enumerate(sums):
         acc = "0.0"
         # at least one statement, so the zero polynomial gets s = 0.0
         for start in range(0, max(len(products), 1), _SUM_CHUNK):
             chunk = products[start:start + _SUM_CHUNK]
-            body.append(f"        s{k} = " + " + ".join([acc] + chunk))
+            body.append(f"s{k} = " + " + ".join([acc] + chunk))
             acc = f"s{k}"
-    values = "".join(f"s{k}, " for k in range(len(sums)))
+    if frame is None:
+        values = "".join(f"s{k}, " for k in range(len(sums)))
+        frame = f"def kernel(x, y):\n    {{sums}}\n    return ({values})\nreturn kernel"
+    lines = []
+    for line in frame.splitlines():
+        if line.strip() == "{sums}":
+            indent = line[:len(line) - len(line.lstrip())]
+            lines += [indent + statement for statement in body]
+        else:
+            lines.append(line)
     params = ", ".join(f"c{n}" for n in range(len(coeffs)))
-    source = "\n".join(
-        [f"def make({params}):", "    def kernel(x, y):"]
-        + body
-        + [f"        return ({values})", "    return kernel"]
-    )
+    source = "\n".join([f"def make({params}):"] + ["    " + line for line in lines])
     namespace: dict = {}
     exec(compile(source, "<float_code>", "exec"), namespace)
     return namespace["make"](*coeffs)
+
+
+# evaluate's kernel: the one value, not a 1-tuple
+_VALUE_FRAME = """\
+def kernel(x, y):
+    {sums}
+    return s0
+return kernel
+"""
 
 
 def evaluate(p: BiPoly, x: float, y: float) -> float:
@@ -424,8 +450,8 @@ def evaluate(p: BiPoly, x: float, y: float) -> float:
     try:
         kernel = p._ev
     except AttributeError:  # slot not filled yet
-        kernel = p._ev = float_code((p,))
-    return kernel(x, y)[0]
+        kernel = p._ev = float_code((p,), _VALUE_FRAME)
+    return kernel(x, y)
 
 
 # -- complex monomial basis ----------------------------------------------------

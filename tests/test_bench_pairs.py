@@ -117,6 +117,7 @@ TRACED_LINES = (
     '"numeric.steps": {"value": 7729.333333333333, "unit": "count/op"}, '
     '"numeric.root_fallbacks": {"value": 0.0, "unit": "count/op"}, '
     '"numeric.return_map_calls": {"value": 0.0, "unit": "count/op"}, '
+    '"poly.evaluate_calls": {"value": 7731.0, "unit": "count/op"}, '
     '"homological.solve_calls": {"value": 58.5, "unit": "count/op"}, '
     '"numeric.integrate_s": {"value": 0.21, "unit": "s/op"}}}',
     '{"correct": true, "attempted": 144, "failed": 0, "metrics": {'
@@ -124,6 +125,7 @@ TRACED_LINES = (
     '"numeric.steps": {"value": 7729.333333333333, "unit": "count/op"}, '
     '"numeric.root_fallbacks": {"value": 0.0, "unit": "count/op"}, '
     '"numeric.return_map_calls": {"value": 0.0, "unit": "count/op"}, '
+    '"poly.evaluate_calls": {"value": 7731.0, "unit": "count/op"}, '
     '"homological.solve_calls": {"value": 58.0, "unit": "count/op"}, '
     '"numeric.integrate_s": {"value": 0.12, "unit": "s/op"}}}',
 )
@@ -136,7 +138,7 @@ def test_traced_summary_keeps_counts_and_compares_them():
         "attempted": 96, "failed": 0, "correct": True,
         "numeric.rhs_evals": 46378.0, "numeric.steps": 7729.333333333333,
         "numeric.root_fallbacks": 0.0, "numeric.return_map_calls": 0.0,
-        "homological.solve_calls": 58.5,
+        "poly.evaluate_calls": 7731.0, "homological.solve_calls": 58.5,
     }
     assert out["change"]["attempted"] == 144
     # per-layer seconds are not kept

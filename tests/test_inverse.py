@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +21,12 @@ from centerfocus import (
     devlin_integral,
     find_cofactor,
     hamiltonian_mismatch,
+    lyapunov_function,
     poisson_bracket,
     verify_darboux,
     weak_center_family,
 )
+from centerfocus.cli import parse_inverse_spec
 from helpers import nl_field, radial_cubic, rand_frac
 
 X = BiPoly.monomial(1, 0)
@@ -123,6 +126,40 @@ def test_residuals_are_the_focus_quantities():
         ]
         assert complementary_residuals(spec, up_to) == want
         assert any(v for v in v_list)
+
+
+def seeded_inverse_spec(seed, m):
+    """Random H_3..H_{m+1} and multipliers g_1..g_{m-1}."""
+    rng = random.Random(seed)
+    h_list = (H2,) + tuple(random_homogeneous(rng, d) for d in range(3, m + 2))
+    g_list = (BiPoly.constant(1),) + tuple(random_homogeneous(rng, d) for d in range(1, m))
+    return InverseSpec(m=m, h_list=h_list, g_list=g_list)
+
+
+HAM_SPEC = Path(__file__).parent / "data" / "cli" / "ham.json"
+
+
+@pytest.mark.parametrize(
+    "make_spec, up_to",
+    [
+        pytest.param(lambda m=m, seed=seed: seeded_inverse_spec(seed, m), up_to, id=f"m{m}-{seed}")
+        for m in (2, 3, 4, 5)
+        for seed, up_to in ((40 + m, m), (50 + m, 8), (60 + m, 12))
+    ]
+    + [pytest.param(lambda: parse_inverse_spec(HAM_SPEC.read_text())[1], 12, id="ham.json")],
+)
+def test_residuals_are_slices_of_the_whole_derivative(make_spec, up_to):
+    # the residuals form no product above degree up_to + 2; what they keep
+    # is the slice of dV/dt taken as a whole polynomial
+    spec = make_spec()
+    field = build_field(spec)
+    v = lyapunov_function(compute_lyapunov(field, max(up_to + 1, 2)))
+    dv = field.derivative_along(v)
+    want = [dv.homogeneous_component(n + 2) for n in range(spec.m, up_to + 1)]
+    assert complementary_residuals(spec, up_to) == want
+    # odd n give zero slices, and only ham.json's field is Hamiltonian
+    even = any(n % 2 == 0 for n in range(spec.m, up_to + 1))
+    assert any(want) == (even and any(spec.g_list[1:]))
 
 
 def test_mismatch_tracks_divergence():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
@@ -980,17 +981,48 @@ def test_dop853_step_loop_runs_a_thousand_point_grid():
     same_run(got, scipy_run(fun, (0.0, 0.05), y0, "DOP853"))
 
 
+def test_backward_min_step_is_the_spacing_toward_the_end_time():
+    # from t = -1.0, a power of two, the float spacing toward -inf is twice
+    # the spacing toward +inf: a backward first step of 1.5e-15 is below
+    # SciPy's minimum of 10 spacings toward the end time (2.2e-15) and is
+    # raised to it, where 10 spacings the other way (1.1e-15) would keep it
+    def fun(_t, s):
+        return [-float(s[1]), float(s[0])]
+
+    t0, t_end, h0 = -1.0, -1.0 - 1e-13, 1.5e-15
+    want = scipy_run(fun, (t0, t_end), [1.0, 0.0], "RK45", first_step=h0)
+    loop = numeric._step_loop(numeric._TABLEAUX["RK45"], 2)
+    status, nfev, ts, ys, _, _ = loop(
+        fun, t0, [1.0, 0.0], fun(t0, [1.0, 0.0]), h0, t_end, -1.0, math.inf, ()
+    )
+    assert t0 - ts[1] == 10 * (t0 - math.nextafter(t0, -math.inf))
+    assert same_array(ts, want.t) and same_array(np.reshape(ys, (-1, 2)).T, want.y)
+    # the loop counts select_initial_step's two evaluations; SciPy, given
+    # a first step, made only its constructor's one
+    assert (status, nfev) == (want.status, want.nfev + 1)
+
+
 def test_step_loops_are_built_lazily_and_once():
     # a fresh process: importing numeric and a symbolic command build no
-    # step function; two orbits on the same state size build one
+    # step function; two orbits on the same state size build one. Each
+    # integrate, first return and grid compiles its field frame once.
     script = textwrap.dedent("""
         import contextlib, io, json
-        from centerfocus import get, integrate, numeric
+        from centerfocus import get, integrate, numeric, return_map
         from centerfocus.cli import main
+
+        compiles = []
+        original = numeric.float_code
+
+        def counted(polys, frame=None):
+            compiles.append(frame)
+            return original(polys, frame)
+
+        numeric.float_code = counted
 
         def built():
             info = numeric._step_loop.cache_info()
-            return [info.misses, info.hits]
+            return [info.misses, info.hits, len(compiles)]
 
         seen = [built()]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1000,7 +1032,13 @@ def test_step_loops_are_built_lazily_and_once():
         integrate(field, 0.1, 0.0, 1.0)
         integrate(field, 0.2, 0.0, 2.0)
         seen.append(built())
-        print(json.dumps(seen))
+        return_map(field, 0.1)
+        seen.append(built())
+        numeric._grid_deltas(field, (0.05, 0.1))
+        seen.append(built())
+        frames = {numeric._ORBIT_FRAME: "orbit", numeric._ANGLE_FRAME: "angle",
+                  numeric._GRID_FRAME: "grid"}
+        print(json.dumps([seen, [frames.get(f, "other") for f in compiles]]))
     """)
     src = Path(numeric.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -1010,7 +1048,144 @@ def test_step_loops_are_built_lazily_and_once():
         cwd=Path(__file__).parent / "data" / "cli", env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(out.stdout) == [[0, 0], [0, 0], [1, 1]]
+    seen, frames = json.loads(out.stdout)
+    assert seen == [[0, 0, 0], [0, 0, 0], [1, 1, 2], [2, 1, 3], [3, 1, 4]]
+    assert frames == ["orbit", "orbit", "angle", "grid"]
+
+
+# -- the generated right-hand sides against the closures they replaced ----------
+#
+# integrate, _first_return and _grid_deltas hand the step loop functions
+# compiled from numeric's frames, with the field's sums inlined. Each must
+# give the bits, or raise the error, of the closure over the plain
+# float_code((p, q)) kernel that it replaced, rebuilt here.
+
+
+def closure_frames(pq):
+    """The right-hand sides, event and Newton kernel as closures over pq."""
+    cos, sin = math.cos, math.sin
+
+    def orbit(_t, s):
+        return pq(*s)
+
+    def angle(_t, s):
+        x, y, _ = s
+        px, qx = pq(x, y)
+        return (px, qx, (x * qx - y * px) / (x * x + y * y))
+
+    def stalled(_t, s):
+        x, y, _ = s
+        px, qx = pq(x, y)
+        return x * qx - y * px
+
+    def y_dot(x, y):
+        return pq(x, y)[1]
+
+    def grid(theta, s):
+        n = len(s) // 2
+        ct, st = cos(theta), sin(theta)
+        out = [0.0] * (2 * n)
+        for i in range(n):
+            r = s[i]
+            x, y = r * ct, r * st
+            px, qx = pq(x, y)
+            den = x * qx - y * px
+            out[i] = r * (x * px + y * qx) / den
+            out[n + i] = r * r / den
+        return out
+
+    return orbit, angle, stalled, y_dot, grid
+
+
+def generated_frames(p, q):
+    """The same five, compiled from numeric's frames."""
+    orbit = numeric.float_code((p, q), numeric._ORBIT_FRAME)
+    angle, stalled, y_dot = numeric.float_code((p, q), numeric._ANGLE_FRAME)
+    grid = numeric.float_code((p, q), numeric._GRID_FRAME)
+    return orbit, angle, stalled, y_dot, grid
+
+
+def float_bits(call):
+    """The bits of call()'s float or floats, or the type of its float
+    error (ValueError: cos or sin of an infinite angle)."""
+    try:
+        value = call()
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    values = value if isinstance(value, (list, tuple)) else (value,)
+    return [struct.pack("<d", v) for v in values]
+
+
+frame_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 5e-324, 1e-160]),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+frame_fields = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p_terms=frame_fields,
+    q_terms=frame_fields,
+    x=frame_coords,
+    y=frame_coords,
+    theta=frame_coords,
+    grid=st.lists(frame_coords, min_size=2, max_size=8).filter(lambda v: len(v) % 2 == 0),
+)
+def test_generated_frames_match_the_closures_bitwise(p_terms, q_terms, x, y, theta, grid):
+    p, q = BiPoly(p_terms), BiPoly(q_terms)
+    got = generated_frames(p, q)
+    want = closure_frames(numeric.float_code((p, q)))
+    assert got[2].direction == -1.0
+    cases = [
+        ("orbit", (0.0, [x, y])),
+        ("angle", (0.0, [x, y, theta])),
+        ("stalled", (0.0, [x, y, theta])),
+        ("y_dot", (x, y)),
+        ("grid", (theta, grid)),
+        ("grid", (theta, [x, y, 1.0, -0.0])),
+    ]
+    names = ("orbit", "angle", "stalled", "y_dot", "grid")
+    for name, args in cases:
+        k = names.index(name)
+        assert float_bits(lambda: got[k](*args)) == float_bits(lambda: want[k](*args)), name
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_angle_frame_divides_by_zero_at_the_origin(x, y):
+    # theta' = (x q - y p) / (x^2 + y^2) has no value at the origin: the
+    # generated right-hand side raises there, as the closure did, and the
+    # stalled event and Newton kernel, which do not divide, do not
+    field = bautin_field(1, 1, 1, 1, 1)
+    angle, stalled, y_dot = numeric.float_code((field.p, field.q), numeric._ANGLE_FRAME)
+    with pytest.raises(ZeroDivisionError):
+        angle(0.0, [x, y, 0.0])
+    assert stalled(0.0, [x, y, 0.0]) == 0.0 and y_dot(x, y) == 0.0
+    grid = numeric.float_code((field.p, field.q), numeric._GRID_FRAME)
+    with pytest.raises(ZeroDivisionError):
+        grid(0.3, [0.0, 0.0])
+
+
+def test_frames_overflow_as_the_closures_did():
+    # x^2000 leaves the float range at x = 1.5 in every frame
+    orbit, angle, stalled, y_dot, grid = generated_frames(
+        BiPoly({(0, 1): -1, (2000, 0): 1}), BiPoly({(1, 0): 1})
+    )
+    calls = [
+        lambda: orbit(0.0, [1.5, 0.0]),
+        lambda: angle(0.0, [1.5, 0.0, 0.0]),
+        lambda: stalled(0.0, [1.5, 0.0, 0.0]),
+        lambda: y_dot(1.5, 0.0),
+        lambda: grid(0.0, [1.5, 0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(OverflowError):
+            call()
 
 
 # -- V_k against the return map, by value ----------------------------------------

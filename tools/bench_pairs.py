@@ -25,9 +25,10 @@ every pair, so a stopped run keeps what it measured.
 After the pairs, each side runs every workload once more with
 ``--trace 1`` on the workload's first seed. The per-op counts of those
 runs (``TRACED``) go under ``traced``, with whether the two sides agree
-on each: equal counts mean the same steps, evaluations, section
-fallbacks and solves. Their per-layer seconds are left out, since one
-traced run cannot resolve them to better than about 15 %.
+on each: equal counts mean the same steps, field evaluations, section
+fallbacks, ``poly.evaluate`` calls and solves. Their per-layer seconds
+are left out, since one traced run cannot resolve them to better than
+about 15 %.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ TRACED = (
     "numeric.steps",
     "numeric.root_fallbacks",
     "numeric.return_map_calls",
+    "poly.evaluate_calls",
     "homological.solve_calls",
 )
 
