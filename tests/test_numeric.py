@@ -1171,7 +1171,7 @@ def test_angle_frame_divides_by_zero_at_the_origin(x, y):
         grid(0.3, [0.0, 0.0])
 
 
-def test_frames_overflow_as_the_closures_did():
+def test_every_frame_raises_on_a_power_out_of_range():
     # x^2000 leaves the float range at x = 1.5 in every frame
     orbit, angle, stalled, y_dot, grid = generated_frames(
         BiPoly({(0, 1): -1, (2000, 0): 1}), BiPoly({(1, 0): 1})
