@@ -53,10 +53,10 @@ The right-hand sides the loop calls are generated as well: ``integrate``,
 stands between the loop and the sums. They unpack Python floats from the
 solver's state, and their values are bit for bit those of the plain term
 loop, so orbits, return maps and periods do not depend on the kernel.
-The first return's frame also holds its ``stalled`` event and the
-Newton kernel of its section polish. A field that leaves the float range
-(``x**e`` overflowing) or an angle equation evaluated at the origin ends
-in ``StepFailure``.
+The first return's frame also holds its ``stalled`` event; the Newton
+polish of its section crossing reads y' from the frame's right-hand
+side. A field that leaves the float range (``x**e`` overflowing) or an
+angle equation evaluated at the origin ends in ``StepFailure``.
 
 Nothing here imports SciPy. The pieces of it the loop needs are copies:
 the two tableaux are module constants with SciPy's exact floats, events
@@ -565,8 +565,8 @@ return rhs
 """
 
 # _first_return's state (x, y, theta): the right-hand side with
-# theta' = (x q - y p) / (x^2 + y^2), the event where x q - y p falls
-# through 0, and y' alone for the Newton polish of the section crossing
+# theta' = (x q - y p) / (x^2 + y^2), and the event where x q - y p falls
+# through 0
 _ANGLE_FRAME = """\
 def rhs(_t, s):
     x, y, _ = s
@@ -577,10 +577,7 @@ def stalled(_t, s):
     {sums}
     return x * s1 - y * s0
 stalled.direction = -1.0
-def y_dot(x, y):
-    {sums}
-    return s1
-return rhs, stalled, y_dot
+return rhs, stalled
 """
 
 # _grid_deltas' state (r_1..r_N, t_1..t_N) in theta: one loop over the N
@@ -826,7 +823,7 @@ def _first_return(field: PlanarField, c: float):
         raise PreconditionFailed("section abscissa must be positive")
     if not math.isfinite(c):
         raise PreconditionFailed("section abscissa must be finite")
-    rhs, stalled, y_dot = float_code((field.p, field.q), _ANGLE_FRAME)
+    rhs, stalled = float_code((field.p, field.q), _ANGLE_FRAME)
 
     def turn_done(_t, s):
         return s[2] - TWO_PI
@@ -853,14 +850,15 @@ def _first_return(field: PlanarField, c: float):
         raise TimeBudgetExceeded(f"no return within t = {MAX_TIME}")
     t_star = sol.t_events[0][0]
 
-    # Newton on y(t) = 0 from the event time; dense output is smooth here
+    # Newton on y(t) = 0 from the event time; dense output is smooth here,
+    # and y' is rhs's second value, which does not depend on theta
     t_cur = t_star
     for _ in range(8):
         x_val, y_val, _ = sol.sol(t_cur)
         if abs(y_val) <= SECTION_ABS:
             break
         with _float_range():
-            ydot = y_dot(x_val, y_val)
+            ydot = rhs(t_cur, (x_val, y_val, 0.0))[1]
         if ydot == 0.0:
             break
         t_cur -= y_val / ydot
@@ -992,15 +990,11 @@ def _batch_decides(deltas: list[float], tol: float) -> bool:
     return len({d > 0 for d in deltas if abs(d) >= tol}) <= 1
 
 
-def numeric_classify(
-    field: PlanarField,
-    c_grid: Sequence[float],
-    tol: float | None = None,
-) -> CenterLike | FocusLike:
+def numeric_classify(field: PlanarField, c_grid: Sequence[float]) -> CenterLike | FocusLike:
     """Displacement-sign hint over a grid of section abscissas.
 
-    CenterLike when every |delta(c)| is below tol (default 1e-9 max c),
-    else FocusLike with the common sign of the |delta| >= tol;
+    CenterLike when every |delta(c)| is below tol = 1e-9 max c, else
+    FocusLike with the common sign of the |delta| >= tol;
     ``Inconsistent`` when those signs disagree. The deltas come from one
     batched integration in theta (``_grid_deltas``). They are used only
     when the batch succeeded and decides the verdict by a margin: no
@@ -1011,8 +1005,7 @@ def numeric_classify(
     """
     if not c_grid:
         raise PreconditionFailed("empty sample grid")
-    if tol is None:
-        tol = 1e-9 * max(c_grid)
+    tol = 1e-9 * max(c_grid)
     deltas = _grid_deltas(field, c_grid)
     if deltas is None or not _batch_decides(deltas, tol):
         deltas = [return_map(field, c).delta for c in c_grid]

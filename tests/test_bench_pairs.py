@@ -11,7 +11,9 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import (  # noqa: E402
+    ROOT,
     TRACED,
     blas_kernel,
     library_versions,
@@ -144,3 +146,31 @@ def test_traced_summary_keeps_counts_and_compares_them():
     # per-layer seconds are not kept
     assert not any(k.endswith("_s") for s in ("parent", "change") for k in out[s])
     assert out["equal"] == {name: name != "homological.solve_calls" for name in TRACED}
+
+
+def test_run_seconds_default_to_the_benchmarks(monkeypatch, tmp_path):
+    # every run, paired and traced, lasts BENCHMARK.json's run_seconds
+    # unless --seconds says otherwise; here a copy of it sets 7
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text()) | {"run_seconds": 7}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    result = json.loads(TRACED_LINES[0])
+    result["metrics"] |= {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+    seconds = []
+
+    def run_once(tree, workload, seed, secs, trace=0):
+        seconds.append(secs)
+        return result
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs, "library_versions", lambda: {})
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    args = ["--base", "a", "--head", "b", "--seed", "1", "--pairs", "2",
+            "--workload", spec["workloads"][0]["name"], "--out", str(out)]
+    assert bench_pairs.main(args) == 0
+    assert seconds == [7.0] * 6
+    assert json.loads(out.read_text())["method"]["command"].endswith("--seconds 7")
+    seconds.clear()
+    assert bench_pairs.main(args + ["--seconds", "0.5"]) == 0
+    assert seconds == [0.5] * 6

@@ -109,6 +109,8 @@ class TestParsing:
             parse_inverse_spec(json.dumps({"m": 3, "h": [[]], "g": [[], []]}))
         with pytest.raises(ParseError, match="'m' must be"):
             parse_inverse_spec(json.dumps({"h": [], "g": []}))
+        with pytest.raises(ParseError, match="'g' must list the 2 terms lists"):
+            parse_inverse_spec(json.dumps({"m": 3, "h": [[], []], "g": [[]]}))
 
 
 # Any JSON value; the schema's own keys are drawn often so that documents

@@ -64,6 +64,17 @@ def test_arithmetic_square():
     assert (X + Y) ** 2 == BiPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
+def test_scalar_comparison_and_arithmetic():
+    # an int or Fraction compares and subtracts as a constant polynomial
+    p = BiPoly({(0, 0): Fraction(3, 2), (1, 0): 1, (0, 1): -2})
+    assert BiPoly() == 0 and p != 0
+    assert BiPoly.constant(Fraction(3, 2)) == Fraction(3, 2)
+    assert 1 - p == BiPoly({(0, 0): Fraction(-1, 2), (1, 0): -1, (0, 1): 2})
+    assert repr(p) == "3/2 + x - 2*y"
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_degree_conventions():
     assert BiPoly().degree() == -1
     assert BiPoly.constant(3).degree() == 0

@@ -8,7 +8,8 @@ each workload, pair i runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T
 
-once per side on the same seed S, one benchmark process at a time; the
+once per side on the same seed S, one benchmark process at a time, T
+being ``--seconds`` (default BENCHMARK.json's ``run_seconds``); the
 parent runs first in even-numbered pairs and the change first in odd
 ones. Workload w (in ``--workload`` order) uses seeds ``--seed`` +
 w * pairs + i, so pick a start seed no earlier run used. Metric
@@ -28,7 +29,10 @@ runs (``TRACED``) go under ``traced``, with whether the two sides agree
 on each: equal counts mean the same steps, field evaluations, section
 fallbacks, ``poly.evaluate`` calls and solves. Their per-layer seconds
 are left out, since one traced run cannot resolve them to better than
-about 15 %.
+about 15 %. ``homological.solve_calls`` counts only calls of
+``lyapunov.solve_homological``, which the recursion does not make (it
+calls ``solve_slice``), so it reads 0 on lyapunov-deep until perfbench's
+tracer wraps the slice solve.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-# the per-op counts a traced run reports, kept in the output's "traced"
+# the per-op counts a traced run reports, kept in the output's "traced";
+# homological.solve_calls counts solve_homological calls only, so it reads
+# 0 on lyapunov-deep, whose recursion solves through solve_slice
 TRACED = (
     "numeric.rhs_evals",
     "numeric.steps",
@@ -209,7 +215,8 @@ def main(argv=None) -> int:
                     choices=[w["name"] for w in spec["workloads"]],
                     help="repeatable; default every workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
+                    help="seconds per run (default BENCHMARK.json's run_seconds)")
     ap.add_argument("--seed", type=int, required=True, help="first seed")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
