@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AngleStalled,
     CenterFocusError,
@@ -88,79 +90,9 @@ from .numeric import (
 )
 from .catalog import CatalogEntry, FamilySignature, get, list_families
 
-__all__ = [
-    "__version__",
-    "AngleStalled",
-    "BiPoly",
-    "CatalogEntry",
-    "CenterFocusError",
-    "CenterLike",
-    "CofactorCertificate",
-    "ComplexCoeffs",
-    "DarbouxCandidate",
-    "DegreeMismatch",
-    "FamilySignature",
-    "FocusLike",
-    "H2",
-    "HGDecomposition",
-    "HomogeneousPoly",
-    "HomologicalSolution",
-    "Inconsistent",
-    "InverseSpec",
-    "LambdaZero",
-    "LyapunovResult",
-    "MissingParam",
-    "NonNormalizedLinearPart",
-    "NonRealInput",
-    "NotQuasiHomogeneous",
-    "ObstructionNonzeroAverage",
-    "OrderTooSmall",
-    "ParseError",
-    "PeriodSample",
-    "PlanarField",
-    "PreconditionFailed",
-    "R2",
-    "ReturnMapSample",
-    "StepFailure",
-    "SymmetryReport",
-    "TimeBudgetExceeded",
-    "Trajectory",
-    "UnknownName",
-    "WeakCenterResult",
-    "X",
-    "Y",
-    "ZeroCurve",
-    "apply_rotational",
-    "bautin_classify",
-    "build_field",
-    "circle_average",
-    "complementary_residuals",
-    "compute_lyapunov",
-    "constants_quasihomogeneous",
-    "detect_symmetries",
-    "devlin_integral",
-    "evaluate",
-    "find_cofactor",
-    "find_equilibria",
-    "from_complex",
-    "get",
-    "hamiltonian_mismatch",
-    "hg_decompose",
-    "homogeneous_components",
-    "integrate",
-    "list_families",
-    "lyapunov_function",
-    "numeric_classify",
-    "period",
-    "poisson_bracket",
-    "quasihomogeneous_parts",
-    "residual",
-    "return_map",
-    "schlomiuk_classify",
-    "solve_homological",
-    "to_complex",
-    "verify_darboux",
-    "weak_center_check",
-    "weak_center_family",
-    "write_csv",
-]
+# the imports above are the one list of public names
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

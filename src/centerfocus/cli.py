@@ -305,8 +305,6 @@ def _end_time(raw: str) -> float:
 
 
 def _param_pair(raw: str) -> tuple[str, str]:
-    if "=" not in raw:
-        raise argparse.ArgumentTypeError(f"expected k=v, got {raw!r}")
     key, _, value = raw.partition("=")
     if not key or not value:
         raise argparse.ArgumentTypeError(f"expected k=v, got {raw!r}")
@@ -373,9 +371,7 @@ def _analyze_one(path: str, order: int) -> tuple[dict, list[str]]:
         "v": [_exact_json(v) for v in res.v_list],
         "verdict": res.describe(),
     }
-    lines = [f"name:    {name}", f"order:   {order}"]
-    if degs:
-        lines.append(f"solved:  H_{degs[0]} .. H_{degs[-1]}")
+    lines = [f"name:    {name}", f"order:   {order}", f"solved:  H_{degs[0]} .. H_{degs[-1]}"]
     lines += [f"V_{k} = {v} (~ {_approx(v)})" for k, v in enumerate(res.v_list, start=1)]
     lines.append(f"verdict: {res.describe()}")
     return _report(f"analyze --order {order} --input {path}", digest, results), lines

@@ -207,10 +207,7 @@ def find_cofactor(field: PlanarField, curve: BiPoly) -> CofactorCertificate | No
     """Exact cofactor K with X(curve) = K curve, when one exists."""
     if curve.is_zero():
         raise ZeroCurve("invariant curve candidate is zero")
-    deriv = field.derivative_along(curve)
-    if deriv.is_zero():
-        return CofactorCertificate(curve=curve, cofactor=BiPoly())
-    k = _poly_divide(deriv, curve)
+    k = _poly_divide(field.derivative_along(curve), curve)
     if k is None:
         return None
     return CofactorCertificate(curve=curve, cofactor=k)

@@ -893,7 +893,7 @@ def find_equilibria(
     box: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0),
 ) -> list[tuple[float, float]]:
     """Newton from a 41 x 41 seed grid over the box; keep residuals below
-    1e-10, dedupe at 1e-6."""
+    1e-13, dedupe at 1e-6."""
     p, q = field.p, field.q
     # values and Jacobian (p, q, p_x, p_y, q_x, q_y) in one call
     kernel = float_code((p, q, p.diff_x(), p.diff_y(), q.diff_x(), q.diff_y()))
@@ -925,9 +925,6 @@ def find_equilibria(
             if not ok:
                 continue
             if not (xmin - 1e-9 <= x <= xmax + 1e-9 and ymin - 1e-9 <= y <= ymax + 1e-9):
-                continue
-            fx, fy = kernel(x, y)[:2]
-            if abs(fx) >= 1e-10 or abs(fy) >= 1e-10:
                 continue
             if all(abs(x - fx) > 1e-6 or abs(y - fy) > 1e-6 for fx, fy in found):
                 found.append((x, y))

@@ -165,6 +165,13 @@ def test_cubic_qh_second_center_case():
     assert compute_lyapunov(entry.field, 8).verdict == "CenterCandidate"
 
 
+def test_cubic_qh_off_the_first_constant_has_no_center_case():
+    # 3a + l + c + 3n = 3 != 0: V_1 does not vanish, so no center set is tried
+    entry = get("cubic_qh", A=1)
+    assert entry.extras == {"cases": []}
+    assert entry.expectations == {"FocusSign(+)"}
+
+
 def _cubic_case_i_point(rf):
     """A rational point on case (i): c from V_1 = 0, d from the first clause
     (linear in d), and k from the second clause once d is eliminated."""

@@ -161,6 +161,12 @@ def test_find_equilibria_skips_overflowing_seeds():
     assert any(abs(x + 1.0) < 1e-10 and abs(y - 1.0) < 1e-10 for x, y in found)
 
 
+def test_find_equilibria_drops_seeds_whose_newton_update_overflows():
+    # x' = -y + 10^200 y^3, y' = x + 10^200 y^3: most seeds' first Newton
+    # update is not finite and ends their search; only the origin remains
+    assert find_equilibria(nl_field({(0, 3): 10**200}, {(0, 3): 10**200})) == [(0.0, 0.0)]
+
+
 def test_classify_center_like():
     verdict = numeric_classify(get("loud1").field, (0.05, 0.1, 0.2))
     assert isinstance(verdict, CenterLike)

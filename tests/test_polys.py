@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from centerfocus import (
     BiPoly,
+    HomogeneousPoly,
     NonRealInput,
     R2,
     X,
@@ -231,6 +232,21 @@ def test_complex_round_trip(p):
 @given(small_polys())
 def test_complex_coeffs_conjugate_symmetric(p):
     assert to_complex(p).conjugate_symmetric()
+
+
+def test_complex_coeffs_without_the_conjugate_entry_are_not_symmetric():
+    # z has no zbar partner, so no real polynomial has these coefficients
+    assert not ComplexCoeffs({(1, 0): (Fraction(1), Fraction(0))}).conjugate_symmetric()
+
+
+def test_bipoly_is_not_equal_to_a_string():
+    assert BiPoly.__eq__(X, "x") is NotImplemented
+    assert (BiPoly({(1, 0): 1}) == "x") is False
+
+
+def test_homogeneous_poly_rejects_a_term_of_another_degree():
+    with pytest.raises(ValueError, match=r"^term x\^1 y\^0 breaks homogeneity of degree 2$"):
+        HomogeneousPoly(2, X)
 
 
 def test_from_complex_rejects_non_real():
