@@ -165,9 +165,11 @@ def test_cubic_qh_second_center_case():
     assert compute_lyapunov(entry.field, 8).verdict == "CenterCandidate"
 
 
-def test_cubic_qh_off_the_first_constant_has_no_center_case():
-    # 3a + l + c + 3n = 3 != 0: V_1 does not vanish, so no center set is tried
-    entry = get("cubic_qh", A=1)
+@pytest.mark.parametrize("params", [dict(A=1), dict(C=1)])
+def test_cubic_qh_off_the_first_constant_has_no_center_case(params):
+    # 3a + l + c + 3n != 0: V_1 does not vanish, so no center set is tried;
+    # at C = 1 case (i)'s two clauses hold, and V_1 = 1/8 alone rules it out
+    entry = get("cubic_qh", **params)
     assert entry.extras == {"cases": []}
     assert entry.expectations == {"FocusSign(+)"}
 

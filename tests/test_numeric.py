@@ -162,8 +162,8 @@ def test_find_equilibria_skips_overflowing_seeds():
 
 
 def test_find_equilibria_drops_seeds_whose_newton_update_overflows():
-    # x' = -y + 10^200 y^3, y' = x + 10^200 y^3: most seeds' first Newton
-    # update is not finite and ends their search; only the origin remains
+    # x' = -y + 10^200 y^3, y' = x + 10^200 y^3: for most seeds a Newton
+    # update is not finite, which ends their search; only the origin remains
     assert find_equilibria(nl_field({(0, 3): 10**200}, {(0, 3): 10**200})) == [(0.0, 0.0)]
 
 

@@ -3,7 +3,7 @@ import types
 import centerfocus
 
 
-def test_star_import_binds_every_public_name():
+def test_star_import_binds_every_name_the_root_imports():
     namespace = {}
     exec("from centerfocus import *", namespace)
     assert "radial_power" in namespace
@@ -12,9 +12,6 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(centerfocus, name)
         assert not isinstance(namespace[name], types.ModuleType)
         assert name == "__version__" or not name.startswith("_")
-
-
-def test_every_name_the_root_imports_is_exported():
     public = {
         name
         for name, value in vars(centerfocus).items()
