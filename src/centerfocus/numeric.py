@@ -46,6 +46,19 @@ and error sum the same ``ndarray.dot`` call on the same array as before,
 into one reused buffer, so its floats are those of SciPy's loop on any
 BLAS.
 
+The event work is part of that loop too. An event may carry a
+``source``, an expression in the loop's locals that gives its value at
+a step's end from floats the step has already made: the first return's
+``_turn_done`` reads theta - 2 pi, and its frame's ``stalled`` reads
+x q - y p from the stage array's last row, the field at the step's end
+(the FSAL stage, which the next step reuses), in place of evaluating
+the field again. ``_step_loop`` compiles one loop per set of event
+sources and directions, with each sign test written out, and calls
+``_brentq`` on the event callables only on a step where a sign changes.
+Each step's ``_Interpolant`` keeps the stage array's bytes and forms its
+matrix Q the first time it is read, and a run reads only the few near
+its end.
+
 The right-hand sides the loop calls are generated as well: ``integrate``,
 ``_first_return`` and ``_grid_deltas`` each compile one frame
 (``_ORBIT_FRAME``, ``_ANGLE_FRAME``, ``_GRID_FRAME``) once per call with
@@ -193,7 +206,7 @@ def _dop853_error_norm(n: int) -> list[str]:
         "    denom = err5 + 0.01 * err3",
         "    # denom is 0 only when err5 is and 0.01 * err3 underflows:",
         "    # NumPy's 0 / 0 is then nan, which rejects the step",
-        f"    err = abs(h) * err5 / math.sqrt(denom * {n}) if denom else math.nan",
+        f"    err = h_abs * err5 / math.sqrt(denom * {n}) if denom else math.nan",
     ]
 
 
@@ -305,15 +318,27 @@ _TABLEAUX = {
 
 class _Interpolant:
     """RK45's quartic interpolant over one step, as SciPy's RkDenseOutput:
-    y(t) = y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old) / h."""
+    y(t) = y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old) / h.
 
-    __slots__ = ("t_old", "h", "y_old", "Q")
+    The step loop hands it the step's stage array K as bytes, and Q is
+    formed the first time it is read, by SciPy's ``K.T.dot(P)`` on those
+    floats; a run reads only the interpolants near its end."""
 
-    def __init__(self, t_old, t, y_old, Q):
+    __slots__ = ("t_old", "h", "y_old", "_K", "_Q")
+
+    def __init__(self, t_old, t, y_old, K: bytes):
         self.t_old = t_old
         self.h = t - t_old
         self.y_old = y_old
-        self.Q = Q
+        self._K = K
+        self._Q = None
+
+    @property
+    def Q(self) -> np.ndarray:
+        if self._Q is None:
+            K = np.frombuffer(self._K).reshape(-1, len(self.y_old))
+            self._Q = K.T.dot(_TABLEAUX["RK45"].P)
+        return self._Q
 
     def at(self, t: float) -> list[float]:
         h = self.h
@@ -352,8 +377,8 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     ``dense_output=True`` when there are events: the initial step of
     ``select_initial_step``, taken here, then the step control of
     ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
-    for the method's tableau and the state size, compiled on the first
-    call with that pair and cached. Its stage, solution and error sums are
+    for the method's tableau, the state size and the events, compiled on
+    the first call with them and cached. Its stage, solution and error sums are
     ``ndarray.dot`` on one stage array K (the same BLAS calls as SciPy's
     ``np.dot``, so the same fused or unfused rounding), the tableau's
     error norm takes each vector norm as a BLAS dot too, and each
@@ -366,10 +391,13 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     attempted step takes it past ``max_nfev``, which SciPy does not have,
     the run stops there with status -2. Every event is taken as terminal
     and must have a nonzero ``direction``, the only kind the callers
-    pass. A run with events keeps each step's interpolant and returns
-    them as its dense solution ``sol``; events are RK45's only, the only
-    method the callers pass them to, and run forward only, the only way
-    the callers ask it.
+    pass. An event with a ``source`` attribute is not called at a step's
+    end: the loop evaluates that expression (``_event_source``), which
+    must give the call's float there; it is called only while its root
+    is located. A run with events keeps each step's interpolant, whose Q
+    is formed when first read, and returns them as its dense solution
+    ``sol``; events are RK45's only, the only method the callers pass
+    them to, and run forward only, the only way the callers ask it.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
     the solver's constructor does, and the result is y0 at t0 and
@@ -417,7 +445,11 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
                 h1 = (0.01 / max(d1, d2)) ** -tab.error_exponent
             h_abs = min(100 * h0, h1, interval)
 
-            status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y))(
+            sources = tuple(
+                (getattr(ev, "source", None), (ev.direction > 0) - (ev.direction < 0))
+                for ev in events
+            )
+            status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y), sources)(
                 fun, t0, y, f, h_abs, t_bound, direction, max_nfev, events
             )
     return IvpResult(
@@ -441,13 +473,14 @@ def _row(s: int, n: int) -> str:
     return ", ".join(f"Kd[{s * n + i}]" for i in range(n)) + ","
 
 
-# The step loop of RungeKutta._step_impl, for one tableau and state size;
-# _step_loop fills in the fields. K has a row per stage and a last row,
-# f at the step's end, which the next step takes as its row 0 (SciPy's
-# self.f). Only RK45 runs get events, so only they reach P.
+# The step loop of RungeKutta._step_impl, for one tableau, state size and
+# set of events; _step_loop fills in the fields. K has a row per stage and
+# a last row, f at the step's end, which the next step takes as its row 0
+# (SciPy's self.f). Only RK45 runs get events, so only they keep K for an
+# _Interpolant. {event_start} and {event_step} are empty without events.
 _STEP_LOOP = """\
 def make(tab):
-    A, C, P = tab.A, tab.C, tab.P
+    A, C = tab.A, tab.C
     B, error_exponent = tab.B, tab.error_exponent
     {error_rows} = tab.error_rows
     rtol, atol = REL_TOL, ABS_TOL
@@ -470,12 +503,13 @@ def make(tab):
         ts, ys = [t], list(y)
         interpolants = []
         t_events = [[] for _ in events]
-        ev_dir = [ev.direction for ev in events]
-        g = [ev(t, y) for ev in events]
+{event_start}
         status = None
         while status is None:
             Kd[:{n}] = Kd[{last_start}:]
-            min_step = 10 * abs(nextafter(t, toward) - t)
+            # direction * spacing is |spacing|: the spacing toward the end
+            # time has the sign of direction, which is 1.0 or -1.0
+            min_step = 10 * (direction * (nextafter(t, toward) - t))
             if h_abs < min_step:
                 h_abs = min_step
             rejected = False
@@ -484,10 +518,11 @@ def make(tab):
                     status = -1
                     break
                 t_new = t + h_abs * direction
-                if direction * (t_new - t_bound) > 0:
+                if direction * (t_new - t_bound) > 0.0:
                     t_new = t_bound
+                # h is nonzero and has the sign of direction, so this is |h|
                 h = t_new - t
-                h_abs = abs(h)
+                h_abs = direction * h
 {stage_sums}
                 sol_dot(B, buf)
                 {d_names} = bd
@@ -498,12 +533,10 @@ def make(tab):
                 if nfev > max_nfev:
                     status = -2
                     break
-                # the error scale atol + max(|y|, |y_new|) rtol: y is
-                # finite and a NaN in y_new wins, as in np.maximum
 {scale}
 {error_norm}
-                if err < 1:
-                    if err == 0:
+                if err < 1.0:
+                    if err == 0.0:
                         factor = MAX_FACTOR
                     else:
                         factor = min(MAX_FACTOR, SAFETY * err**error_exponent)
@@ -517,36 +550,11 @@ def make(tab):
                 break
             t_old, y_old, t, y = t, y, t_new, y_new
             {y_names} = y
-            if direction * (t - t_bound) >= 0:
+            if direction * (t - t_bound) >= 0.0:
                 status = 0
-            if events:
-                interp = _Interpolant(t_old, t, y_old, err_dot(P))
-                interpolants.append(interp)
-                g_new = [ev(t, y) for ev in events]
-                active = [
-                    i for i, (a, b, d) in enumerate(zip(g, g_new, ev_dir))
-                    if (d > 0 and a <= 0 <= b) or (d < 0 and a >= 0 >= b)
-                ]
-                if active:
-                    roots = [
-                        _brentq(
-                            lambda tt, ev=events[i]: ev(tt, interp.at(tt)),
-                            t_old, t, EVENT_TOL, EVENT_TOL, BRENTQ_MAXITER,
-                        )
-                        for i in active
-                    ]
-                    # every event is terminal: the first root in time ends the run
-                    first = min(range(len(roots)), key=lambda k: direction * roots[k])
-                    t_events[active[first]].append(roots[first])
-                    status = 1
-                    t = roots[first]
-                    y = interp.at(t)
-                g = g_new
-            if events and len(ts) > 1 and ts[-1] == t:
-                interpolants.pop()
-            else:
-                ts.append(t)
-                ys += y
+{event_step}
+            ts.append(t)
+            ys += y
         return status, nfev, ts, ys, interpolants, t_events
     return loop
 """
@@ -566,7 +574,8 @@ return rhs
 
 # _first_return's state (x, y, theta): the right-hand side with
 # theta' = (x q - y p) / (x^2 + y^2), and the event where x q - y p falls
-# through 0
+# through 0. Its source reads x q - y p at a step's end from the FSAL row
+# (f0, f1) = (p, q) there, the floats that rhs has just made of these sums.
 _ANGLE_FRAME = """\
 def rhs(_t, s):
     x, y, _ = s
@@ -577,6 +586,7 @@ def stalled(_t, s):
     {sums}
     return x * s1 - y * s0
 stalled.direction = -1.0
+stalled.source = "y0 * f1 - y1 * f0"
 return rhs, stalled
 """
 
@@ -600,13 +610,99 @@ return rhs
 """
 
 
+def _error_scale(n: int) -> list[str]:
+    """The error scale atol + max(|y|, |y_new|) rtol as step-loop source.
+
+    Each magnitude is taken by a comparison, not a call: v if v >= 0.0
+    else -v. It differs from abs(v) only in the sign of a zero or a NaN,
+    and neither sign is seen: atol > 0, so atol + (-0.0) * rtol is atol,
+    and a NaN scale is NaN, which no comparison reads by its sign. y is
+    finite and a NaN in y_new wins, as in np.maximum. The float literal
+    matters: comparing a float with the int 0 takes CPython's slower
+    mixed-type path."""
+    lines = []
+    for i in range(n):
+        lines += [
+            f"a = y{i} if y{i} >= 0.0 else -y{i}",
+            f"b = z{i} if z{i} >= 0.0 else -z{i}",
+            f"s{i} = atol + (a if a >= b else b) * rtol",
+        ]
+    return lines
+
+
+def _first_root(events, hits, interp, t_old: float, t: float, direction: float):
+    """The first event root in time on the step from t_old to t, and its
+    event's index: the root of each event whose sign test ``hits`` on the
+    step's interpolant, by ``_brentq`` at solve_ivp's tolerances. Every
+    event is terminal, so this root ends the run."""
+    active = [k for k, hit in enumerate(hits) if hit]
+    roots = [
+        _brentq(
+            lambda tt, ev=events[k]: ev(tt, interp.at(tt)),
+            t_old, t, EVENT_TOL, EVENT_TOL, BRENTQ_MAXITER,
+        )
+        for k in active
+    ]
+    first = min(range(len(roots)), key=lambda k: direction * roots[k])
+    return active[first], roots[first]
+
+
+# The test after each accepted step: a step on which some event changes
+# sign ends the run at its first root, on the step's interpolant
+_EVENT_HIT = """\
+if {any_hit}:
+    interp = interpolants[-1]
+    k, t = _first_root(events, ({hits},), interp, t_old, t, direction)
+    t_events[k].append(t)
+    status = 1
+    y = interp.at(t)
+    if len(ts) > 1 and ts[-1] == t:
+        # a root at the step's start, which ts already holds
+        interpolants.pop()
+        break
+"""
+
+
+def _event_source(events: tuple, n: int, fsal: str) -> tuple[list[str], list[str]]:
+    """The step loop's event lines: those run once before the first step,
+    and those run after each accepted one.
+
+    ``events`` holds one (source, sign) per event. An event's value at a
+    step's end is its source, an expression in the loop's locals (t,
+    y0..y{n-1}, and f0..f{n-1}, read from ``fsal``, the stage array's last
+    row), or the call ev_k(t, y) when it has none. g_k holds the value at
+    the step's start and e_k at its end. Each sign test is written out:
+    g_k <= 0.0 <= e_k for a rising event (sign > 0), g_k >= 0.0 >= e_k for
+    a falling one (sign < 0), and False for sign 0, which never fires.
+    Each step keeps its stage array as bytes in an ``_Interpolant``."""
+    if not events:
+        return [], []
+    m = len(events)
+    values = [src or f"ev{k}(t, y)" for k, (src, _) in enumerate(events)]
+    hits = [
+        f"g{k} <= 0.0 <= e{k}" if sign > 0 else f"g{k} >= 0.0 >= e{k}" if sign < 0 else "False"
+        for k, (_, sign) in enumerate(events)
+    ]
+    f_row = f"{_names('f', n)} = {fsal}"
+    start = [f"{_names('ev', m)} = events", f_row, *(f"g{k} = {v}" for k, v in enumerate(values))]
+    step = [
+        f_row,
+        "interpolants.append(_Interpolant(t_old, t, y_old, K.tobytes()))",
+        *(f"e{k} = {v}" for k, v in enumerate(values)),
+        *_EVENT_HIT.format(any_hit=" or ".join(hits), hits=", ".join(hits)).splitlines(),
+        *(f"g{k} = e{k}" for k in range(m)),
+    ]
+    return start, step
+
+
 # bounded: a process that classifies grids of many sizes keeps at most
 # 32 loops, not one per size
 @functools.lru_cache(maxsize=32)
-def _step_loop(tab: _Tableau, n: int):
-    """The step loop of ``solve_ivp`` for tableau ``tab`` and states of
-    n floats, compiled on first use and cached. It binds ``REL_TOL`` and
-    ``ABS_TOL`` once, when it is built.
+def _step_loop(tab: _Tableau, n: int, events: tuple = ()):
+    """The step loop of ``solve_ivp`` for tableau ``tab``, states of n
+    floats and ``events``, one (source, sign) per event (``_event_source``),
+    compiled on first use and cached. It binds ``REL_TOL`` and ``ABS_TOL``
+    once, when it is built.
 
     The state is unpacked into the locals y0..y{n-1}. Each stage sum is
     ``K[:s].T.dot(a_s, buf)`` into one reused buffer, read back as the
@@ -619,7 +715,12 @@ def _step_loop(tab: _Tableau, n: int):
     rms_den``, its divisor sqrt(n) bound when the loop is built. The BLAS
     calls are SciPy's, on the same K layout, so the floats are those of
     its loop on any BLAS. The accepted states go into one flat list,
-    which ``solve_ivp`` reshapes into ``IvpResult.y``.
+    which ``solve_ivp`` reshapes into ``IvpResult.y``. No magnitude is an
+    ``abs`` call: |h| and the minimum step's spacing are signed by
+    ``direction``, which is 1.0 or -1.0, and the error scale compares
+    (``_error_scale``). With events, each event's value, sign test and
+    direction are written into the loop as well, and it calls ``_brentq``
+    only on a step where some sign changes.
     """
     n_stages = len(tab.C)
     stage_sums = []
@@ -630,9 +731,7 @@ def _step_loop(tab: _Tableau, n: int):
             f"{_row(s, n)} = fun(t + c{s} * h, ["
             + ", ".join(f"y{i} + d{i} * h" for i in range(n)) + "])",
         ]
-    scale = []
-    for i in range(n):
-        scale += [f"a = abs(y{i})", f"b = abs(z{i})", f"s{i} = atol + (a if a >= b else b) * rtol"]
+    event_start, event_step = _event_source(events, n, _row(n_stages, n))
 
     def block(lines, indent):
         return "\n".join(" " * indent + line for line in lines)
@@ -652,8 +751,10 @@ def _step_loop(tab: _Tableau, n: int):
         last_row=_row(n_stages, n),
         stage_sums=block(stage_sums, 16),
         y_new=block([f"z{i} = y{i} + h * d{i}" for i in range(n)], 16),
-        scale=block(scale, 16),
+        scale=block(_error_scale(n), 16),
         error_norm=block(tab.error_norm(n), 16),
+        event_start=block(event_start, 8),
+        event_step=block(event_step, 12),
     )
     namespace: dict = {}
     exec(compile(source, f"<step loop n={n}>", "exec"), globals(), namespace)
@@ -813,6 +914,16 @@ def write_csv(traj: Trajectory, path) -> None:
             writer.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
 
 
+def _turn_done(_t, s):
+    """The first return's end, theta rising through 2 pi; the step loop
+    evaluates its source in place of a call."""
+    return s[2] - TWO_PI
+
+
+_turn_done.direction = 1.0
+_turn_done.source = "y2 - TWO_PI"
+
+
 def _first_return(field: PlanarField, c: float):
     """Integrate the angle-augmented system until theta = 2 pi, then
     polish the section crossing y = 0, x > 0 on the dense output.
@@ -824,19 +935,13 @@ def _first_return(field: PlanarField, c: float):
     if not math.isfinite(c):
         raise PreconditionFailed("section abscissa must be finite")
     rhs, stalled = float_code((field.p, field.q), _ANGLE_FRAME)
-
-    def turn_done(_t, s):
-        return s[2] - TWO_PI
-
-    turn_done.direction = 1.0
-
     with _float_range():
         sol = solve_ivp(
             rhs,
             (0.0, MAX_TIME),
             (c, 0.0, 0.0),
             method="RK45",
-            events=(turn_done, stalled),
+            events=(_turn_done, stalled),
             max_nfev=EVAL_BUDGET,
         )
     if sol.status == -2:
@@ -918,8 +1023,6 @@ def find_equilibria(
                 dy = (a * fy - cc * fx) / det
                 x -= dx
                 y -= dy
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    break
                 if abs(x) > 10 * (abs(xmin) + abs(xmax) + 1):
                     break
             if not ok:
