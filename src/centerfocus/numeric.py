@@ -378,12 +378,12 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     ``select_initial_step``, taken here, then the step control of
     ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
     for the method's tableau, the state size and the events, compiled on
-    the first call with them and cached. Its stage, solution and error sums are
-    ``ndarray.dot`` on one stage array K (the same BLAS calls as SciPy's
-    ``np.dot``, so the same fused or unfused rounding), the tableau's
-    error norm takes each vector norm as a BLAS dot too, and each
-    terminal event is located by ``_brentq`` on the step's interpolant
-    with solve_ivp's tolerances.
+    the first call with them and cached. Its stage, solution and error
+    sums are ``ndarray.dot`` on one stage array K (the same BLAS calls
+    as SciPy's ``np.dot``, so the same fused or unfused rounding), the
+    tableau's error norm takes each vector norm as a BLAS dot too, and
+    each terminal event is located by ``_brentq`` on the step's
+    interpolant with solve_ivp's tolerances.
     Every elementwise operation is done on Python floats, which round as
     NumPy's unfused elementwise loops do; where NumPy gives inf or nan
     instead of raising, the code here does too. ``nfev`` counts as

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -1004,6 +1005,175 @@ def test_generated_step_loop_with_events_matches_scipy(seed):
     assert all(same_array(got.sol(float(t)), want.sol(t)) for t in ts)
 
 
+@pytest.mark.parametrize("shape, direction", [
+    ("zero at a step end", 1.0),
+    ("zero at a step end", -1.0),
+    ("touches zero at a step time", 1.0),
+    ("starts past zero", 1.0),
+    ("starts past zero", -1.0),
+])
+def test_event_sign_tests_match_scipy(shape, direction):
+    # the loop's sign tests at their edges, on the rotation from (1, 0):
+    # an event exactly 0 at a step's end fires on that step; one that only
+    # touches 0 there fires on the next, at its start; and one that starts
+    # on the far side of 0 fires only where it later crosses in its direction
+    def fun(_t, s):
+        return [-float(s[1]), float(s[0])]
+
+    t_step = float(numeric.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0]).t[5])
+    value = {
+        "zero at a step end": lambda t: t - t_step,
+        "touches zero at a step time": lambda t: (t - t_step) ** 2,
+        "starts past zero": math.cos,
+    }[shape]
+
+    def event(t, _s):
+        return direction * value(float(t))
+
+    event.terminal, event.direction = True, direction
+    got = numeric.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], events=[event])
+    want = scipy_run(fun, (0.0, 10.0), [1.0, 0.0], "RK45", dense_output=True, events=[event])
+    assert want.status == 1
+    same_run(got, want)
+    # one interpolant per step, and the last step's beyond the end
+    assert len(got.sol.interpolants) == len(want.t) - 1
+    ts = [*want.t, *want.t_events[0], want.t[-1] + 0.5]
+    assert all(same_array(got.sol(float(t)), want.sol(t)) for t in ts)
+
+
+# -- the first return's events, inline and called --------------------------------
+#
+# _turn_done and the angle frame's stalled event carry sources, expressions
+# the step loop evaluates at a step's end in place of calling them. Wrapped
+# as plain functions, with the same direction and no source, they are
+# called there instead; the run must not tell the two apart.
+
+
+def sourceless(event):
+    """event as a plain function: the same values and direction, no source."""
+
+    def call(t, s):
+        return event(t, s)
+
+    call.direction = event.direction
+    return call
+
+
+def quadratic_field(seed):
+    """x' = -y + quadratic, y' = x + quadratic, coefficients in [-1, 1] by
+    quarters: about half of them stall the angle within t = 20 from
+    c in [0.2, 1.1]."""
+    rng = random.Random(seed)
+    monomials = [(2, 0), (1, 1), (0, 2)]
+    return nl_field(*({m: Fraction(rng.randint(-4, 4), 4) for m in monomials} for _ in "pq"))
+
+
+def angle_run(rhs, c, theta0, events=None):
+    """The first return's integration from (c, 0, theta0), cut at t = 20
+    and 50 000 field evaluations, or the type of its float error."""
+    try:
+        return numeric.solve_ivp(
+            rhs, (0.0, 20.0), (c, 0.0, theta0), events=events, max_nfev=50_000
+        )
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def tied_step(rhs, stalled, c):
+    """A start angle theta0 and a step on which both events change sign:
+    the first fall of x q - y p through 0, and theta's rise through 2 pi.
+    None when no such start is found.
+
+    The steps come from a run without events, which takes the same steps;
+    theta0 moves the error scale, and so the steps, a little, hence a
+    few corrections."""
+    theta0 = 0.0
+    for _ in range(4):
+        run = angle_run(rhs, c, theta0)
+        if not isinstance(run, numeric.IvpResult):
+            return None
+        states = run.y.T.tolist()
+        values = [stalled(t, s) for t, s in zip(run.t, states)]
+        k = next((k for k in range(len(values) - 1) if values[k] >= 0.0 >= values[k + 1]), None)
+        if k is None:
+            return None
+        a, b = states[k][2] - TWO_PI, states[k + 1][2] - TWO_PI
+        if a <= 0.0 <= b:
+            return theta0, run.t[k]
+        theta0 -= (a + b) / 2
+    return None
+
+
+def same_event_runs(rhs, stalled, c, theta0):
+    """Run the first return's events inline and called from (c, 0, theta0),
+    check that the two runs agree to the bit, and return the inline one."""
+    inline = (numeric._turn_done, stalled)
+    assert all(isinstance(ev.source, str) for ev in inline)
+    got = angle_run(rhs, c, theta0, inline)
+    want = angle_run(rhs, c, theta0, [sourceless(ev) for ev in inline])
+    if not isinstance(want, numeric.IvpResult):
+        assert got is want
+        return got
+    same_run(got, want)
+    assert len(got.t_events) == 2
+    ts = want.t.tolist()
+    inside = [a + (b - a) * w for a, b in zip(ts, ts[1:]) for w in (0.3, 0.7)]
+    for t in ts + inside + np.concatenate(want.t_events).tolist():
+        assert same_array(got.sol(t), want.sol(t)), t
+    return got
+
+
+def test_event_sources_read_the_field_at_each_step_end(monkeypatch):
+    # a source sees the loop's t, state and f row at the start and at
+    # every step's end; the f row must be the field there, the floats
+    # stalled's source takes for x q - y p
+    seen = []
+
+    def probe(*values):
+        seen.append(values)
+        return 1.0
+
+    monkeypatch.setattr(numeric, "_probe", probe, raising=False)
+
+    def event(_t, _s):
+        return 1.0
+
+    event.direction = 1.0
+    event.source = "_probe(t, y0, y1, y2, f0, f1, f2)"
+    field = seeded_focus_field("cubic", 1)
+    rhs, _ = numeric.float_code((field.p, field.q), numeric._ANGLE_FRAME)
+    run = numeric.solve_ivp(rhs, (0.0, 2.0), (0.3, 0.0, 0.0), events=[event])
+    assert run.status == 0 and len(seen) == len(run.t) > 10
+    for (t, y0, y1, y2, *f), t_run, y_run in zip(seen, run.t, run.y.T):
+        assert t == t_run and same_array([y0, y1, y2], y_run)
+        assert same_array(f, rhs(t, [y0, y1, y2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(0.2, 1.1), tie=st.booleans())
+def test_inline_event_sources_match_called_events(seed, c, tie):
+    field = quadratic_field(seed)
+    rhs, stalled = numeric.float_code((field.p, field.q), numeric._ANGLE_FRAME)
+    start = tied_step(rhs, stalled, c) if tie else None
+    same_event_runs(rhs, stalled, c, start[0] if start else 0.0)
+
+
+@pytest.mark.parametrize("seed, c", [(3, 0.65), (11, 0.8), (32, 0.8), (55, 1.1)])
+def test_events_on_one_step_match_called_events(seed, c):
+    # seeds whose angle stalls: from theta = 0 the stalled event ends the
+    # run, and from the tied start both events change sign on its last
+    # step. theta peaks where it stalls, so it passes 2 pi first, and the
+    # first root in time, turn_done's, ends the run.
+    field = quadratic_field(seed)
+    rhs, stalled = numeric.float_code((field.p, field.q), numeric._ANGLE_FRAME)
+    run = same_event_runs(rhs, stalled, c, 0.0)
+    assert run.status == 1 and len(run.t_events[1]) == 1
+    theta0, t_old = tied_step(rhs, stalled, c)
+    run = same_event_runs(rhs, stalled, c, theta0)
+    assert run.status == 1 and run.t[-2] == t_old
+    assert (len(run.t_events[0]), len(run.t_events[1])) == (1, 0)
+
+
 def test_dop853_step_loop_runs_a_thousand_point_grid():
     # classify --c with 1 000 points asks for DOP853 on 2 000 floats: one
     # generated function of that size compiles (no RecursionError) and
@@ -1038,6 +1208,104 @@ def test_backward_min_step_is_the_spacing_toward_the_end_time():
     # the loop counts select_initial_step's two evaluations; SciPy, given
     # a first step, made only its constructor's one
     assert (status, nfev) == (want.status, want.nfev + 1)
+
+
+# -- magnitudes without abs calls ------------------------------------------------
+#
+# The step loop takes |y|, |y_new| by comparisons, and |h| and the minimum
+# step's spacing by multiplying with direction. Against the abs calls they
+# replaced, on the float edge cases: signed zeros, NaNs of either sign,
+# infinities and subnormals.
+
+float_edges = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+        2.2250738585072014e-308, -2.2250738585072014e-308, sys.float_info.max, 1e-300, -1.0,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def abs_error_scale(n):
+    """The error scale as the loop took it with abs calls."""
+    lines = []
+    for i in range(n):
+        lines += [f"a = abs(y{i})", f"b = abs(z{i})", f"s{i} = atol + (a if a >= b else b) * rtol"]
+    return lines
+
+
+def scale_function(lines):
+    """The error scale lines of one float as a function of (y0, z0)."""
+    namespace = {"atol": numeric.ABS_TOL, "rtol": numeric.REL_TOL}
+    exec("def scale(y0, z0):\n    " + "\n    ".join(lines) + "\n    return s0", namespace)
+    return namespace["scale"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=float_edges, z=float_edges)
+def test_error_scale_comparisons_match_abs(y, z):
+    got = scale_function(numeric._error_scale(1))
+    want = scale_function(abs_error_scale(1))
+    assert float_bits(lambda: got(y, z)) == float_bits(lambda: want(y, z))
+
+
+@functools.cache
+def abs_step_loop(method, n):
+    """The step loop of method on n floats as built with abs calls for the
+    error scale, |h| and the minimum step's spacing."""
+    template = numeric._STEP_LOOP
+    for new, old in [
+        ("10 * (direction * (nextafter(t, toward) - t))", "10 * abs(nextafter(t, toward) - t)"),
+        ("h_abs = direction * h", "h_abs = abs(h)"),
+    ]:
+        assert template.count(new) == 1
+        template = template.replace(new, old)
+    saved = numeric._STEP_LOOP, numeric._error_scale
+    numeric._STEP_LOOP, numeric._error_scale = template, abs_error_scale
+    try:
+        return numeric._step_loop.__wrapped__(numeric._TABLEAUX[method], n)
+    finally:
+        numeric._STEP_LOOP, numeric._error_scale = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(["RK45", "DOP853"]),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    t0=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, sys.float_info.max]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    span=st.sampled_from([1e-300, 1e-12, 0.5, 1e300, math.inf]),
+    backward=st.booleans(),
+    h_abs=st.sampled_from([5e-324, 1e-300, 1e-3, 0.1, 1e300, math.inf]),
+    y0=st.lists(float_edges, min_size=3, max_size=3),
+    edge=st.booleans(),
+)
+def test_step_loop_without_abs_calls_matches_the_abs_form(
+    method, n, seed, t0, span, backward, h_abs, y0, edge
+):
+    # whole runs, from start times and states at the float edges, capped
+    # at 3 000 field evaluations: the same steps, states and status
+    fun, start = linear_cubic_system(seed, n)
+    if edge:
+        start = y0[:n]
+    direction = -1.0 if backward else 1.0
+    t_bound = t0 + direction * span
+    if t_bound == t0:
+        return  # an empty span takes no step
+    f = fun(t0, start)
+    loops = (numeric._step_loop(numeric._TABLEAUX[method], n), abs_step_loop(method, n))
+    # a dot of infinite or NaN stages warns; solve_ivp's callers see no state like it
+    with np.errstate(over="ignore", invalid="ignore"):
+        (status, nfev, ts, ys), want = (
+            loop(fun, t0, list(start), f, h_abs, t_bound, direction, 3000, ())[:4]
+            for loop in loops
+        )
+    assert (status, nfev) == want[:2]
+    assert float_bits(lambda: ts) == float_bits(lambda: want[2])
+    assert float_bits(lambda: ys) == float_bits(lambda: want[3])
 
 
 def test_step_loops_are_built_lazily_and_once():
