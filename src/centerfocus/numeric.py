@@ -37,14 +37,14 @@ BLAS, which may fuse multiply-adds, so the printed floats still depend
 on it, as they did under SciPy's loop.
 
 The steps themselves run in generated code, as the field does: on first
-use ``_step_loop`` compiles one straight-line loop per tableau and state
-size (RK45 on 2 floats for ``integrate``, on 3 for the first return,
-DOP853 on 2N for a grid of N) and caches it; importing this module builds
-none. The loop holds the state in locals, writes each stage's f into the
-stage array through a flat memoryview, and makes every stage, solution
-and error sum the same ``ndarray.dot`` call on the same array as before,
-into one reused buffer, so its floats are those of SciPy's loop on any
-BLAS.
+use ``_step_loop`` compiles one straight-line loop per tableau, state
+size, set of events and right-hand side source (RK45 on 2 floats for
+``integrate``, on 3 for the first return, DOP853 on 2N for a grid of N)
+and caches it; importing this module builds none. The loop holds the
+state in locals, writes each stage's f into the stage array through a
+flat memoryview, and makes every stage, solution and error sum the same
+``ndarray.dot`` call on the same array as before, into one reused
+buffer, so its floats are those of SciPy's loop on any BLAS.
 
 The event work is part of that loop too. An event may carry a
 ``source``, an expression in the loop's locals that gives its value at
@@ -59,17 +59,25 @@ Each step's ``_Interpolant`` keeps the stage array's bytes and forms its
 matrix Q the first time it is read, and a run reads only the few near
 its end.
 
-The right-hand sides the loop calls are generated as well: ``integrate``,
-``_first_return`` and ``_grid_deltas`` each compile one frame
-(``_ORBIT_FRAME``, ``_ANGLE_FRAME``, ``_GRID_FRAME``) once per call with
-``poly.float_code``, which writes the field's sums into it, so no call
-stands between the loop and the sums. They unpack Python floats from the
-solver's state, and their values are bit for bit those of the plain term
-loop, so orbits, return maps and periods do not depend on the kernel.
-The first return's frame also holds its ``stalled`` event; the Newton
-polish of its section crossing reads y' from the frame's right-hand
-side. A field that leaves the float range (``x**e`` overflowing) or an
-angle equation evaluated at the origin ends in ``StepFailure``.
+The right-hand sides are generated as well: ``integrate``,
+``_first_return`` and ``_grid_deltas`` each take one frame
+(``_ORBIT_FRAME``, ``_ANGLE_FRAME``, ``_GRID_FRAME``) from
+``poly.float_code``, which writes the field's sums into it and compiles
+it once per frame and monomial support; the coefficients are bound when
+it is called. The orbit's and the first return's right-hand sides also
+carry a ``source``: the field's support and the frame's output
+expression. The step loop writes those sums into each stage, the FSAL
+stage included, in place of calling the right-hand side, and reads the
+coefficients from it when a run starts, so its text too depends on the
+support only and no call stands between the loop and the sums. The
+frame's own callables serve the initial step, the Newton polish of the
+section crossing (which reads y') and ``_brentq``'s ``stalled``. The
+grid's right-hand side loops over the N points and is called, so its
+source does not grow with N. Every value is bit for bit that of the
+plain term loop, so orbits, return maps and periods do not depend on
+the kernel, nor on whether the sums are called or written out. A field
+that leaves the float range (``x**e`` overflowing) or an angle
+equation evaluated at the origin ends in ``StepFailure``.
 
 Nothing here imports SciPy. The pieces of it the loop needs are copies:
 the two tableaux are module constants with SciPy's exact floats, events
@@ -110,7 +118,7 @@ from .errors import (
     TimeBudgetExceeded,
 )
 from .lyapunov import PlanarField
-from .poly import float_code
+from .poly import coeff_unpack, float_code, float_sums
 
 TWO_PI = 2.0 * math.pi
 # a batched delta within GUARD_REL * tol + GUARD_ABS of tol is measured
@@ -151,7 +159,7 @@ class IvpResult:
 # scipy.integrate's RungeKutta step-size control (scipy/integrate/_ivp/rk.py)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
-MAX_FACTOR = 10
+MAX_FACTOR = 10.0
 EVENT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event brentq xtol and rtol
 BRENTQ_MAXITER = 100  # scipy.optimize.brentq's default, which solve_ivp keeps
 _MESSAGES = {
@@ -200,7 +208,7 @@ def _dop853_error_norm(n: int) -> list[str]:
             f"{name} = _squared_norm(nb)",
         ]
     return lines + [
-        "if err5 == 0 and err3 == 0:",
+        "if err5 == 0.0 and err3 == 0.0:",
         "    err = 0.0",
         "else:",
         "    denom = err5 + 0.01 * err3",
@@ -377,8 +385,8 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     ``dense_output=True`` when there are events: the initial step of
     ``select_initial_step``, taken here, then the step control of
     ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
-    for the method's tableau, the state size and the events, compiled on
-    the first call with them and cached. Its stage, solution and error
+    for the method's tableau, the state size, the events and ``fun``'s
+    source, compiled on the first call with them and cached. Its stage, solution and error
     sums are ``ndarray.dot`` on one stage array K (the same BLAS calls
     as SciPy's ``np.dot``, so the same fused or unfused rounding), the
     tableau's error norm takes each vector norm as a BLAS dot too, and
@@ -394,9 +402,14 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     pass. An event with a ``source`` attribute is not called at a step's
     end: the loop evaluates that expression (``_event_source``), which
     must give the call's float there; it is called only while its root
-    is located. A run with events keeps each step's interpolant, whose Q
-    is formed when first read, and returns them as its dense solution
-    ``sol``; events are RK45's only, the only method the callers pass
+    is located. Likewise a ``fun`` with a ``source`` (support, values),
+    as ``float_code`` makes from the orbit and angle frames, is called
+    only while the initial step is picked (or once, for an empty span):
+    the loop writes its sums and values into every stage with the
+    coefficients of ``fun.coeffs``, which must give the call's floats.
+    A run with events keeps each step's interpolant, whose Q is formed
+    when first read, and returns them as its dense solution ``sol``;
+    events are RK45's only, the only method the callers pass
     them to, and run forward only, the only way the callers ask it.
 
     An empty span takes no step, as in SciPy: f is evaluated once, as
@@ -449,7 +462,8 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
                 (getattr(ev, "source", None), (ev.direction > 0) - (ev.direction < 0))
                 for ev in events
             )
-            status, nfev, ts, ys, interpolants, t_events = _step_loop(tab, len(y), sources)(
+            loop = _step_loop(tab, len(y), sources, getattr(fun, "source", None))
+            status, nfev, ts, ys, interpolants, t_events = loop(
                 fun, t0, y, f, h_abs, t_bound, direction, max_nfev, events
             )
     return IvpResult(
@@ -503,6 +517,7 @@ def make(tab):
         ts, ys = [t], list(y)
         interpolants = []
         t_events = [[] for _ in events]
+{rhs_start}
 {event_start}
         status = None
         while status is None:
@@ -528,7 +543,7 @@ def make(tab):
                 {d_names} = bd
 {y_new}
                 y_new = [{z_names}]
-                {last_row} = fun(t + h, y_new)
+{fsal}
                 nfev += {n_stages}
                 if nfev > max_nfev:
                     status = -2
@@ -541,7 +556,7 @@ def make(tab):
                     else:
                         factor = min(MAX_FACTOR, SAFETY * err**error_exponent)
                     if rejected:
-                        factor = min(1, factor)
+                        factor = min(1.0, factor)
                     h_abs *= factor
                     break
                 h_abs *= max(MIN_FACTOR, SAFETY * err**error_exponent)
@@ -559,16 +574,21 @@ def make(tab):
     return loop
 """
 
-# The right-hand sides the step loop calls, as poly.float_code frames: each
-# {sums} line becomes the field's sums, s0 = p(x, y) and s1 = q(x, y), so
-# no call stands between the loop and them.
+# The right-hand sides of the step loop, as poly.float_code frames: each
+# {sums} line becomes the field's sums, _s0 = p(_x, _y) and _s1 = q(_x, _y),
+# so no call stands between the loop and them. The orbit's and the first
+# return's rhs also carry a source, (support, values): the step loop writes
+# the sums and then values in place of calling rhs (_step_loop), with the
+# coefficients it reads from rhs.coeffs.
 
 # integrate's orbit on (x, y)
-_ORBIT_FRAME = """\
+_ORBIT_VALUES = "_s0, _s1"
+_ORBIT_FRAME = f"""\
 def rhs(_t, s):
-    x, y = s
-    {sums}
-    return s0, s1
+    _x, _y = s
+    {{sums}}
+    return {_ORBIT_VALUES}
+rhs.source, rhs.coeffs = (support, {_ORBIT_VALUES!r}), coeffs
 return rhs
 """
 
@@ -576,22 +596,24 @@ return rhs
 # theta' = (x q - y p) / (x^2 + y^2), and the event where x q - y p falls
 # through 0. Its source reads x q - y p at a step's end from the FSAL row
 # (f0, f1) = (p, q) there, the floats that rhs has just made of these sums.
-_ANGLE_FRAME = """\
+_ANGLE_VALUES = "_s0, _s1, (_x * _s1 - _y * _s0) / (_x * _x + _y * _y)"
+_ANGLE_FRAME = f"""\
 def rhs(_t, s):
-    x, y, _ = s
-    {sums}
-    return s0, s1, (x * s1 - y * s0) / (x * x + y * y)
+    _x, _y, _ = s
+    {{sums}}
+    return {_ANGLE_VALUES}
+rhs.source, rhs.coeffs = (support, {_ANGLE_VALUES!r}), coeffs
 def stalled(_t, s):
-    x, y, _ = s
-    {sums}
-    return x * s1 - y * s0
+    _x, _y, _ = s
+    {{sums}}
+    return _x * _s1 - _y * _s0
 stalled.direction = -1.0
 stalled.source = "y0 * f1 - y1 * f0"
 return rhs, stalled
 """
 
 # _grid_deltas' state (r_1..r_N, t_1..t_N) in theta: one loop over the N
-# points, so the source does not grow with N
+# points, so the source does not grow with N; the step loop calls it
 _GRID_FRAME = """\
 from math import cos, sin
 def rhs(theta, s):
@@ -600,14 +622,27 @@ def rhs(theta, s):
     out = [0.0] * len(s)
     for i in range(n):
         r = s[i]
-        x, y = r * ct, r * st
+        _x, _y = r * ct, r * st
         {sums}
-        den = x * s1 - y * s0
-        out[i] = r * (x * s0 + y * s1) / den
+        den = _x * _s1 - _y * _s0
+        out[i] = r * (_x * _s0 + _y * _s1) / den
         out[n + i] = r * r / den
     return out
 return rhs
 """
+
+
+def _evaluation(rhs, row: str, call: str, xy: tuple[str, str]) -> list[str]:
+    """Step-loop lines that write one evaluation of the right-hand side
+    into the stage row ``row``: ``row = call`` for a plain callable
+    (``rhs`` None), or, for one with a source (support, values), the
+    field's sums at _x, _y = ``xy`` and then ``row = values``. A frame
+    reads only x and y of the state and not t, so the floats are the
+    call's."""
+    if rhs is None:
+        return [f"{row} = {call}"]
+    support, values = rhs
+    return [f"_x = {xy[0]}", f"_y = {xy[1]}", *float_sums(support), f"{row} = {values}"]
 
 
 def _error_scale(n: int) -> list[str]:
@@ -695,14 +730,22 @@ def _event_source(events: tuple, n: int, fsal: str) -> tuple[list[str], list[str
     return start, step
 
 
-# bounded: a process that classifies grids of many sizes keeps at most
-# 32 loops, not one per size
+# bounded: a process that classifies grids of many sizes, or integrates
+# fields of many supports, keeps at most 32 loops, not one per size or
+# support
 @functools.lru_cache(maxsize=32)
-def _step_loop(tab: _Tableau, n: int, events: tuple = ()):
+def _step_loop(tab: _Tableau, n: int, events: tuple = (), rhs: tuple | None = None):
     """The step loop of ``solve_ivp`` for tableau ``tab``, states of n
-    floats and ``events``, one (source, sign) per event (``_event_source``),
-    compiled on first use and cached. It binds ``REL_TOL`` and ``ABS_TOL``
-    once, when it is built.
+    floats, ``events``, one (source, sign) per event (``_event_source``),
+    and the right-hand side's source ``rhs``, compiled on first use and
+    cached. It binds ``REL_TOL`` and ``ABS_TOL`` once, when it is built.
+
+    Without ``rhs`` each stage calls ``fun``. With ``rhs`` = (support,
+    values), each stage, the FSAL one included, sets _x and _y to the
+    stage input's first two floats, runs ``poly.float_sums(support)`` and
+    writes ``values`` into its row (``_evaluation``); the coefficients
+    are unpacked from ``fun.coeffs`` into locals when the loop starts, so
+    one loop serves every field with that support.
 
     The state is unpacked into the locals y0..y{n-1}. Each stage sum is
     ``K[:s].T.dot(a_s, buf)`` into one reused buffer, read back as the
@@ -725,11 +768,11 @@ def _step_loop(tab: _Tableau, n: int, events: tuple = ()):
     n_stages = len(tab.C)
     stage_sums = []
     for s in range(1, n_stages):
+        inputs = [f"y{i} + d{i} * h" for i in range(n)]
         stage_sums += [
             f"dot{s}(a{s}, buf)",
             f"{_names('d', n)} = bd",
-            f"{_row(s, n)} = fun(t + c{s} * h, ["
-            + ", ".join(f"y{i} + d{i} * h" for i in range(n)) + "])",
+            *_evaluation(rhs, _row(s, n), f"fun(t + c{s} * h, [{', '.join(inputs)}])", inputs),
         ]
     event_start, event_step = _event_source(events, n, _row(n_stages, n))
 
@@ -751,8 +794,10 @@ def _step_loop(tab: _Tableau, n: int, events: tuple = ()):
         last_row=_row(n_stages, n),
         stage_sums=block(stage_sums, 16),
         y_new=block([f"z{i} = y{i} + h * d{i}" for i in range(n)], 16),
+        fsal=block(_evaluation(rhs, _row(n_stages, n), "fun(t + h, y_new)", ("z0", "z1")), 16),
         scale=block(_error_scale(n), 16),
         error_norm=block(tab.error_norm(n), 16),
+        rhs_start=block([] if rhs is None else ["coeffs = fun.coeffs", coeff_unpack(rhs[0])], 8),
         event_start=block(event_start, 8),
         event_step=block(event_step, 12),
     )
@@ -786,14 +831,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     xblk = fblk = spre = scur = 0.0
     fpre = value(xpre)
     fcur = value(xcur)
-    if fpre == 0:
+    if fpre == 0.0:
         return xpre
-    if fcur == 0:
+    if fcur == 0.0:
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -801,7 +846,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -824,7 +869,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
         if abs(scur) > delta:
             xcur += scur
         else:
-            xcur += delta if sbis > 0 else -delta
+            xcur += delta if sbis > 0.0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 

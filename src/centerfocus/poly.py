@@ -16,14 +16,17 @@ Lyapunov sources are built from (partial derivatives, and sums of
 products over the lcm of their denominators); ``wallis_weights`` is the
 one table of circle averages both forms read.
 
-Float evaluation runs through generated straight-line code
-(``float_code``) that performs exactly the operations of the term loop
+Float evaluation runs through generated straight-line code that
+performs exactly the operations of the term loop
 ``total += float(c) * x**i * y**j`` in the same order, so every value
-is bit for bit the loop's. It writes the sums of some polynomials into
-a frame, the source of the functions a caller needs: ``evaluate`` caches
-one function per polynomial on the ``BiPoly`` that returns the bare
-value, and ``numeric`` compiles the right-hand sides its step loop calls
-from its own frames, the sums inlined.
+is bit for bit the loop's. ``float_sums`` is its one generator: the
+statements for polynomials of a given monomial support, with the
+coefficients as locals. ``float_code`` writes them into a frame, the
+source of the functions a caller needs, and compiles it once per frame
+and support, binding each call's coefficients as closure variables:
+``evaluate`` keeps one function per polynomial on the ``BiPoly`` that
+returns the bare value, and ``numeric`` builds its right-hand sides from
+its own frames and writes the same sums into its step loop.
 """
 
 from __future__ import annotations
@@ -366,43 +369,56 @@ def circle_average(p: BiPoly | HomogeneousPoly) -> Fraction:
 # terms nests deeply enough to raise RecursionError in the compiler.
 _SUM_CHUNK = 256
 
+# The monomials of some polynomials, each polynomial's (i, j) in graded
+# order: the shape of their generated sums, which the coefficients do not
+# change.
+Support = tuple[tuple[tuple[int, int], ...], ...]
 
-def float_code(polys: Sequence[BiPoly], frame: str | None = None):
-    """Compile the float values of polys into the functions of ``frame``.
 
-    ``frame`` is the body of a factory: one or more ``def``s, each with a
-    line that reads ``{sums}`` alone, where the sums go at that line's
-    indent, and a last ``return`` of what the caller gets. The sums bind
-    s0, s1, ... to the polynomials' values at the locals x and y, which
-    the frame sets; the coefficients are c0, c1, ... and the powers x2,
-    y2, x3, ..., so the frame uses none of those names for its own
-    values. Without a frame the result is one function of (x, y) that
-    returns the tuple of every value.
-
-    The values are bit for bit those of the term loop
-    ``total = 0.0; total += float(c) * x**i * y**j`` over ``p.terms()``:
-    each sum is written ``0.0 + c0*x**i0*y**j0 + c1*...`` in graded
-    order, so products and sums happen in the loop's order. Each power
-    x**e, y**e with e >= 2 is computed once, by the same ``pow`` call,
-    and shared by all terms and polynomials; x**1 is written x and
-    x**0 is dropped, because multiplying by x**1 or by 1.0 is exact.
-    Coefficients are bound as closure variables, never printed as
-    literals; one whose magnitude no float holds is PreconditionFailed.
-    """
+def float_support(polys: Sequence[BiPoly]) -> tuple[Support, tuple[float, ...]]:
+    """The support of polys and their coefficients as floats, in the
+    order ``float_sums`` numbers them; a coefficient whose magnitude no
+    float holds is PreconditionFailed."""
+    support = []
     coeffs: list[float] = []
-    powers: set[tuple[str, int]] = set()
-    sums: list[list[str]] = []
     for p in polys:
-        products = []
+        keys = []
         for (i, j), c in p.terms():
-            factors = [f"c{len(coeffs)}"]
             try:
                 coeffs.append(float(c))
             except OverflowError:
                 raise PreconditionFailed(
                     f"coefficient of x^{i} y^{j} lies outside the float range"
                 ) from None
-            for var, e in (("x", int(i)), ("y", int(j))):
+            keys.append((int(i), int(j)))
+        support.append(tuple(keys))
+    return tuple(support), tuple(coeffs)
+
+
+def float_sums(support: Support) -> list[str]:
+    """The statements that bind _s0, _s1, ... to the float values at the
+    locals _x and _y of polynomials with this support, whose coefficients
+    are the locals _c0, _c1, ... in ``float_support``'s order.
+
+    The values are bit for bit those of the term loop
+    ``total = 0.0; total += float(c) * x**i * y**j`` over ``p.terms()``:
+    each sum is written ``0.0 + _c0*x**i0*y**j0 + _c1*...`` in graded
+    order, so products and sums happen in the loop's order. Each power
+    x**e, y**e with e >= 2 is computed once, by the same ``pow`` call,
+    into _x2, _y2, _x3, ..., and shared by all terms and polynomials;
+    x**1 is written _x and x**0 is dropped, because multiplying by x**1
+    or by 1.0 is exact. Every name read or written here is an underscore
+    followed by x, y, c or s, so code around the sums keeps its own values
+    under other names."""
+    powers: set[tuple[str, int]] = set()
+    sums: list[list[str]] = []
+    k = 0
+    for keys in support:
+        products = []
+        for i, j in keys:
+            factors = [f"_c{k}"]
+            k += 1
+            for var, e in (("_x", i), ("_y", j)):
                 if e == 1:
                     factors.append(var)
                 elif e > 1:
@@ -410,17 +426,51 @@ def float_code(polys: Sequence[BiPoly], frame: str | None = None):
                     powers.add((var, e))
             products.append("*".join(factors))
         sums.append(products)
-    body = [f"{var}{e} = {var}**{e}" for var, e in sorted(powers)]
-    for k, products in enumerate(sums):
+    lines = [f"{var}{e} = {var}**{e}" for var, e in sorted(powers)]
+    for n, products in enumerate(sums):
         acc = "0.0"
-        # at least one statement, so the zero polynomial gets s = 0.0
+        # at least one statement, so the zero polynomial gets _s = 0.0
         for start in range(0, max(len(products), 1), _SUM_CHUNK):
             chunk = products[start:start + _SUM_CHUNK]
-            body.append(f"s{k} = " + " + ".join([acc] + chunk))
-            acc = f"s{k}"
+            lines.append(f"_s{n} = " + " + ".join([acc] + chunk))
+            acc = f"_s{n}"
+    return lines
+
+
+def coeff_unpack(support: Support) -> str:
+    """The statement that unpacks ``coeffs`` into the locals _c0, _c1, ...
+    that ``float_sums`` reads (``pass`` when there are none)."""
+    names = "".join(f"_c{k}, " for k in range(sum(map(len, support))))
+    return f"{names}= coeffs" if names else "pass"
+
+
+def float_code(polys: Sequence[BiPoly], frame: str | None = None):
+    """Compile the float values of polys into the functions of ``frame``.
+
+    ``frame`` is the body of a factory: one or more ``def``s, each with a
+    line that reads ``{sums}`` alone, where ``float_sums`` goes at that
+    line's indent, and a last ``return`` of what the caller gets. The sums
+    bind _s0, _s1, ... to the polynomials' values at the locals _x and _y,
+    which the frame sets. The factory's own locals ``support`` and
+    ``coeffs`` (``float_support``'s pair) are the frame's to read too.
+    Without a frame the result is one function of (_x, _y) that returns
+    the tuple of every value.
+
+    The coefficients are closure variables, never printed as literals,
+    so the source depends on the support only: it is compiled once per
+    (frame, support), and the last 32 such factories are kept.
+    """
+    support, coeffs = float_support(polys)
+    return _factory(frame, support)(support, coeffs)
+
+
+@lru_cache(maxsize=32)
+def _factory(frame: str | None, support: Support):
+    """``float_code``'s compiled factory for one frame and support."""
     if frame is None:
-        values = "".join(f"s{k}, " for k in range(len(sums)))
-        frame = f"def kernel(x, y):\n    {{sums}}\n    return ({values})\nreturn kernel"
+        values = "".join(f"_s{k}, " for k in range(len(support)))
+        frame = f"def kernel(_x, _y):\n    {{sums}}\n    return ({values})\nreturn kernel"
+    body = float_sums(support)
     lines = []
     for line in frame.splitlines():
         if line.strip() == "{sums}":
@@ -428,18 +478,20 @@ def float_code(polys: Sequence[BiPoly], frame: str | None = None):
             lines += [indent + statement for statement in body]
         else:
             lines.append(line)
-    params = ", ".join(f"c{n}" for n in range(len(coeffs)))
-    source = "\n".join([f"def make({params}):"] + ["    " + line for line in lines])
+    source = "\n".join(
+        ["def make(support, coeffs):", "    " + coeff_unpack(support)]
+        + ["    " + line for line in lines]
+    )
     namespace: dict = {}
     exec(compile(source, "<float_code>", "exec"), namespace)
-    return namespace["make"](*coeffs)
+    return namespace["make"]
 
 
 # evaluate's kernel: the one value, not a 1-tuple
 _VALUE_FRAME = """\
-def kernel(x, y):
+def kernel(_x, _y):
     {sums}
-    return s0
+    return _s0
 return kernel
 """
 

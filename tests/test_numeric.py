@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
@@ -36,6 +36,7 @@ from centerfocus import (
     numeric,
     numeric_classify,
     period,
+    poly,
     return_map,
     write_csv,
 )
@@ -1308,43 +1309,86 @@ def test_step_loop_without_abs_calls_matches_the_abs_form(
     assert float_bits(lambda: ys) == float_bits(lambda: want[3])
 
 
+@functools.cache
+def int_factor_step_loop(method, n):
+    """The step loop of method on n floats as built with the int constants
+    of the step control: ``min(1, factor)`` here, and the run must set
+    MAX_FACTOR to the int 10."""
+    template = numeric._STEP_LOOP
+    assert template.count("min(1.0, factor)") == 1
+    saved = numeric._STEP_LOOP
+    numeric._STEP_LOOP = template.replace("min(1.0, factor)", "min(1, factor)")
+    try:
+        return numeric._step_loop.__wrapped__(numeric._TABLEAUX[method], n)
+    finally:
+        numeric._STEP_LOOP = saved
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_float_step_factors_match_the_int_form(method, monkeypatch):
+    # f is 0 until t = 0.25, so each step's error is 0.0 and the step grows
+    # by MAX_FACTOR; the step across 0.25 meets the linear-cubic field and
+    # is rejected, and the steps after a rejection take min(1.0, factor).
+    # Both factors as floats take the int form's steps to the bit.
+    system, y0 = linear_cubic_system(7, 2)
+
+    def fun(t, s):
+        return [0.0, 0.0] if t < 0.25 else system(t, s)
+
+    runs = []
+    for loop, max_factor in [
+        (numeric._step_loop(numeric._TABLEAUX[method], 2), 10.0),
+        (int_factor_step_loop(method, 2), 10),
+    ]:
+        monkeypatch.setattr(numeric, "MAX_FACTOR", max_factor)
+        runs.append(loop(fun, 0.0, list(y0), fun(0.0, y0), 1e-6, 2.0, 1.0, math.inf, ())[:4])
+    (status, nfev, ts, ys), want = runs
+    assert (status, nfev) == want[:2] and status == 0
+    assert float_bits(lambda: ts) == float_bits(lambda: want[2])
+    assert float_bits(lambda: ys) == float_bits(lambda: want[3])
+    # the error was 0.0 on the first steps: each is ten times the last
+    assert ts[2] - ts[1] == 10.0 * (ts[1] - ts[0]) and ts[3] - ts[2] == 10.0 * (ts[2] - ts[1])
+    # and some step was rejected: one evaluation per stage and attempt,
+    # plus the 2 of the initial step, and more attempts than steps
+    assert (nfev - 2) // len(numeric._TABLEAUX[method].C) > len(ts) - 1
+
+
 def test_step_loops_are_built_lazily_and_once():
     # a fresh process: importing numeric and a symbolic command build no
-    # step function; two orbits on the same state size build one. Each
-    # integrate, first return and grid compiles its field frame once.
+    # step loop and no frame. Each (frame, monomial support) compiles its
+    # frame once and each (tableau, state size, events, inlined sums) its
+    # loop once: more orbits, first returns and grids on the same field,
+    # or on another with the same support, compile nothing; a new support
+    # compiles its frame and its loop again.
     script = textwrap.dedent("""
         import contextlib, io, json
-        from centerfocus import get, integrate, numeric, return_map
+        from centerfocus import get, integrate, numeric, period, poly, return_map
         from centerfocus.cli import main
 
-        compiles = []
-        original = numeric.float_code
-
-        def counted(polys, frame=None):
-            compiles.append(frame)
-            return original(polys, frame)
-
-        numeric.float_code = counted
-
         def built():
-            info = numeric._step_loop.cache_info()
-            return [info.misses, info.hits, len(compiles)]
+            return [numeric._step_loop.cache_info().misses, poly._factory.cache_info().misses]
 
         seen = [built()]
         with contextlib.redirect_stdout(io.StringIO()):
             main(["analyze", "--input", "bautin.json", "--order", "12"])
         seen.append(built())
         field = get("bautin", lam3=1, lam6=1).field
+        other = get("bautin", lam3=-2, lam6=1).field
+        supports = [poly.float_support((f.p, f.q))[0] for f in (field, other)]
         integrate(field, 0.1, 0.0, 1.0)
         integrate(field, 0.2, 0.0, 2.0)
+        integrate(other, 0.1, 0.0, 1.0)
         seen.append(built())
         return_map(field, 0.1)
+        return_map(field, 0.2)
+        period(other, 0.1)
         seen.append(built())
         numeric._grid_deltas(field, (0.05, 0.1))
+        numeric._grid_deltas(other, (0.05, 0.1))
         seen.append(built())
-        frames = {numeric._ORBIT_FRAME: "orbit", numeric._ANGLE_FRAME: "angle",
-                  numeric._GRID_FRAME: "grid"}
-        print(json.dumps([seen, [frames.get(f, "other") for f in compiles]]))
+        integrate(get("bautin", lam2=1).field, 0.1, 0.0, 1.0)
+        seen.append(built())
+        print(json.dumps([seen, supports[0] == supports[1]]))
     """)
     src = Path(numeric.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -1354,9 +1398,9 @@ def test_step_loops_are_built_lazily_and_once():
         cwd=Path(__file__).parent / "data" / "cli", env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    seen, frames = json.loads(out.stdout)
-    assert seen == [[0, 0, 0], [0, 0, 0], [1, 1, 2], [2, 1, 3], [3, 1, 4]]
-    assert frames == ["orbit", "orbit", "angle", "grid"]
+    seen, same_support = json.loads(out.stdout)
+    assert same_support
+    assert seen == [[0, 0], [0, 0], [1, 1], [2, 2], [3, 3], [4, 4]]
 
 
 # -- the generated right-hand sides against the closures they replaced ----------
@@ -1493,6 +1537,159 @@ def test_every_frame_raises_on_a_power_out_of_range():
     for call in calls:
         with pytest.raises(OverflowError):
             call()
+
+
+# -- the field's sums written into the step loop, against the frames called ------
+#
+# integrate's and _first_return's right-hand sides carry a source, so the step
+# loop writes the field's sums into each stage, the FSAL stage included, in
+# place of calling them. Wrapped as plain functions, with no source, they are
+# called there instead; the runs must not tell the two apart.
+
+
+def called(rhs):
+    """rhs as a plain function: the same values, no source."""
+
+    def call(t, s):
+        return rhs(t, s)
+
+    return call
+
+
+def frame_runs(field, frame, start, t_end):
+    """The runs of frame's right-hand side from start to t_end, written
+    into the loop and called, each an IvpResult or the message of the
+    StepFailure it ends in. The angle frame runs with the first return's
+    two events, written into the loop both times."""
+    made = numeric.float_code((field.p, field.q), frame)
+    rhs, events = (made[0], (numeric._turn_done, made[1])) if frame is numeric._ANGLE_FRAME else (made, None)
+    assert rhs.source[0] == poly.float_support((field.p, field.q))[0]
+    runs = []
+    for fun in (rhs, called(rhs)):
+        try:
+            with numeric._float_range():
+                runs.append(numeric.solve_ivp(fun, (0.0, t_end), start, events=events, max_nfev=20_000))
+        except StepFailure as exc:
+            runs.append(str(exc))
+    return runs
+
+
+def same_frame_runs(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    same_run(got, want)
+    if want.sol is None:
+        assert got.sol is None
+        return
+    ts = want.t.tolist()
+    inside = [a + (b - a) * w for a, b in zip(ts, ts[1:]) for w in (0.3, 0.7)]
+    for t in ts + inside + np.concatenate(want.t_events).tolist():
+        assert same_array(got.sol(t), want.sol(t)), t
+
+
+def cubic_sums_field(seed, power):
+    """x' = -y + quadratic + cubic, y' = x + quadratic + cubic, coefficients
+    in [-1, 1] by quarters, each with nonzero y^2 and y^3 terms: on the
+    angle state (x, y, theta) the power _y2 sits beside the state's y2.
+    With ``power``, p also has 1e-200 x^400, which overflows x**400 inside
+    a stage once |x| passes about 5.9."""
+    rng = random.Random(seed)
+    monomials = [(2, 0), (1, 1), (3, 0), (2, 1), (1, 2)]
+
+    def terms():
+        out = {m: Fraction(rng.randint(-4, 4), 4) for m in monomials}
+        out.update({(0, 2): Fraction(rng.choice([-2, -1, 1, 2]), 4),
+                    (0, 3): Fraction(rng.choice([-2, -1, 1, 2]), 4)})
+        return out
+
+    p, q = terms(), terms()
+    if power:
+        p[(400, 0)] = Fraction(1e-200)
+    return nl_field(p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.one_of(st.floats(0.05, 1.2), st.sampled_from([0.0, 2e-162, 5.0])),
+    power=st.booleans(),
+    t_end=st.floats(0.5, 10.0),
+    backward=st.booleans(),
+)
+# x^400 overflows inside a stage of both frames' runs from c = 5
+@example(seed=1, c=5.0, power=True, t_end=5.0, backward=False)
+# from c = 2e-162, x^2 + y^2 underflows to 0 inside a stage of the angle run
+@example(seed=2, c=2e-162, power=False, t_end=10.0, backward=False)
+# at the origin itself the angle frame divides by zero before the first step
+@example(seed=3, c=0.0, power=False, t_end=1.0, backward=False)
+def test_inlined_frames_match_the_frames_called(seed, c, power, t_end, backward):
+    # the orbit also runs backward, where h < 0 < |h|; events run forward only
+    field = cubic_sums_field(seed, power)
+    same_frame_runs(*frame_runs(field, numeric._ORBIT_FRAME, (c, 0.0), -t_end if backward else t_end))
+    same_frame_runs(*frame_runs(field, numeric._ANGLE_FRAME, (c, 0.0, 0.0), t_end))
+
+
+@pytest.mark.parametrize("seed, c, power, frame, message", [
+    (1, 5.0, True, "orbit", "OverflowError"),
+    (1, 5.0, True, "angle", "OverflowError"),
+    (2, 2e-162, False, "angle", "ZeroDivisionError"),
+])
+def test_inlined_frames_fail_inside_a_stage_as_the_calls_do(seed, c, power, frame, message):
+    # the Hypothesis examples above that fail inside the loop: the start
+    # point itself evaluates, and a later stage raises, inline and called
+    field = cubic_sums_field(seed, power)
+    frame, start = {
+        "orbit": (numeric._ORBIT_FRAME, (c, 0.0)), "angle": (numeric._ANGLE_FRAME, (c, 0.0, 0.0)),
+    }[frame]
+    made = numeric.float_code((field.p, field.q), frame)
+    (made[0] if isinstance(made, tuple) else made)(0.0, list(start))
+    got, want = frame_runs(field, frame, start, 10.0)
+    assert got == want and want.startswith(f"field evaluation failed: {message}")
+
+
+CACHE_SCRIPT = """
+import hashlib, json, sys
+from centerfocus import get, integrate, numeric, period, return_map
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+out = []
+for lam3, lam6 in json.loads(sys.argv[1]):
+    field = get("bautin", lam3=lam3, lam6=lam6).field
+    traj = integrate(field, 0.1, 0.0, 5.0)
+    sol = numeric._first_return(field, 0.2)[3]
+    out.append([
+        digest(traj.t, traj.x, traj.y),
+        digest(sol.t, sol.y, *sol.t_events),
+        repr(return_map(field, 0.1)),
+        repr(period(field, 0.15)),
+        repr(numeric._grid_deltas(field, (0.05, 0.1, 0.2))),
+    ])
+print(json.dumps(out))
+"""
+
+
+def test_fields_of_one_support_keep_their_own_coefficients():
+    # two Bautin fields with the same monomials share every compiled frame
+    # and step loop; run one after the other in one process, in either
+    # order, each gives the bytes it gives alone in a fresh process
+    fields = [[1, 1], [-2, 1]]
+    env = {**os.environ, "PYTHONPATH": str(Path(numeric.__file__).resolve().parents[1])}
+    flags = ["-O"] * sys.flags.optimize
+
+    def run(params):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", CACHE_SCRIPT, json.dumps(params)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(out.stdout)
+
+    alone = [run([params])[0] for params in fields]
+    assert alone[0] != alone[1]
+    assert run(fields) == alone
+    assert run(fields[::-1]) == alone[::-1]
 
 
 # -- V_k against the return map, by value ----------------------------------------
