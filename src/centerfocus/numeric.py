@@ -386,9 +386,10 @@ def solve_ivp(fun, t_span, y0, method="RK45", events=None, max_nfev=math.inf) ->
     ``select_initial_step``, taken here, then the step control of
     ``RungeKutta._step_impl`` in the loop that ``_step_loop`` generates
     for the method's tableau, the state size, the events and ``fun``'s
-    source, compiled on the first call with them and cached. Its stage, solution and error
-    sums are ``ndarray.dot`` on one stage array K (the same BLAS calls
-    as SciPy's ``np.dot``, so the same fused or unfused rounding), the
+    source, compiled on the first call with them and cached. Its stage,
+    solution and error sums are ``ndarray.dot`` on one stage array K (the
+    same BLAS calls as SciPy's ``np.dot``, so the same fused or unfused
+    rounding), the
     tableau's error norm takes each vector norm as a BLAS dot too, and
     each terminal event is located by ``_brentq`` on the step's
     interpolant with solve_ivp's tolerances.
@@ -767,8 +768,8 @@ def _step_loop(tab: _Tableau, n: int, events: tuple = (), rhs: tuple | None = No
     """
     n_stages = len(tab.C)
     stage_sums = []
+    inputs = [f"y{i} + d{i} * h" for i in range(n)]
     for s in range(1, n_stages):
-        inputs = [f"y{i} + d{i} * h" for i in range(n)]
         stage_sums += [
             f"dot{s}(a{s}, buf)",
             f"{_names('d', n)} = bd",

@@ -1562,13 +1562,18 @@ def frame_runs(field, frame, start, t_end):
     StepFailure it ends in. The angle frame runs with the first return's
     two events, written into the loop both times."""
     made = numeric.float_code((field.p, field.q), frame)
-    rhs, events = (made[0], (numeric._turn_done, made[1])) if frame is numeric._ANGLE_FRAME else (made, None)
+    if frame is numeric._ANGLE_FRAME:
+        rhs, events = made[0], (numeric._turn_done, made[1])
+    else:
+        rhs, events = made, None
     assert rhs.source[0] == poly.float_support((field.p, field.q))[0]
     runs = []
     for fun in (rhs, called(rhs)):
         try:
             with numeric._float_range():
-                runs.append(numeric.solve_ivp(fun, (0.0, t_end), start, events=events, max_nfev=20_000))
+                runs.append(
+                    numeric.solve_ivp(fun, (0.0, t_end), start, events=events, max_nfev=20_000)
+                )
         except StepFailure as exc:
             runs.append(str(exc))
     return runs
@@ -1626,7 +1631,8 @@ def cubic_sums_field(seed, power):
 def test_inlined_frames_match_the_frames_called(seed, c, power, t_end, backward):
     # the orbit also runs backward, where h < 0 < |h|; events run forward only
     field = cubic_sums_field(seed, power)
-    same_frame_runs(*frame_runs(field, numeric._ORBIT_FRAME, (c, 0.0), -t_end if backward else t_end))
+    orbit_end = -t_end if backward else t_end
+    same_frame_runs(*frame_runs(field, numeric._ORBIT_FRAME, (c, 0.0), orbit_end))
     same_frame_runs(*frame_runs(field, numeric._ANGLE_FRAME, (c, 0.0, 0.0), t_end))
 
 
